@@ -12,7 +12,9 @@
 //      "restore.restored_to", "restore.reconverge_bucket" },
 //    "wall": {                     // machine-dependent; gate ignores it
 //      "hw_threads", "gemm_ms_p1/2/4", "gemm_speedup_p2/4",
+//      "gemm_median_ms_p1/4", "gemm_median_speedup_p4",
 //      "spmm_ms_p1/2/4", "spmm_speedup_p2/4",
+//      "spmm_median_ms_p1/4", "spmm_median_speedup_p4",
 //      "finish_us_p<P>.plain" / ".resilient"  for P in {1,2,4,8},
 //      "restore_ms", "total_ms" }}}
 //
@@ -23,6 +25,9 @@
 //     are added when the hardware has the cores (the deterministic flag
 //     encodes "speedup >= 1.5 OR hardware_concurrency < 4" so single-core
 //     CI boxes gate the *facts*, multi-core boxes also gate the scaling).
+//     Each world first runs about a second of untimed fan-outs; the
+//     gemm_ms/spmm_ms fields and the gated speedups then use the fastest
+//     of 20 timed fan-outs, and the *_median_* fields their median.
 //  2. Finish overhead — repeated empty-task fan-outs per place count,
 //     resilient on/off. The paper's Figs 2-4 bottleneck: in resilient
 //     mode every finish routes Register/Spawn/Terminate/Ack bookkeeping
@@ -33,8 +38,10 @@
 //     chaos sweeper against its simulated golden run: the outcome facts
 //     are deterministic, the restore/total wall times are the fig5
 //     analogue measured on real threads.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -62,10 +69,39 @@ double wallMs(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
+struct FanOutMs {
+  double best = 0.0;    ///< the scaling verdict's estimator
+  double median = 0.0;  ///< reported next to it, so typical drift shows
+};
+
+/// Wall ms of `reps` timed fan-outs of `body` over the first `places`
+/// places of the current world, after about a second of untimed ones.
+/// Fresh place threads start on their creator's vCPU and the guest takes
+/// about that long to spread them, so a new world's first fan-outs time
+/// thread placement, not kernel scaling. The fastest fan-out is the one
+/// no other tenant of a shared host delayed: on a 4-vCPU guest with 5-7%
+/// steal, the median 4-place gemm fan-out swung 1.7-4.2 ms across runs
+/// while the fastest stayed at 1.6-1.8 ms.
+FanOutMs fanOutMs(int places, int reps,
+                  const std::function<void(Place)>& body) {
+  const PlaceGroup pg =
+      PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
+  const auto warm = std::chrono::steady_clock::now();
+  while (wallMs(warm) < 1000.0) apgas::ateach(pg, body);
+  std::vector<double> ms;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    apgas::ateach(pg, body);
+    ms.push_back(wallMs(t0));
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), ms[ms.size() / 2]};
+}
+
 /// Row-partitioned C = A * B over `places` worker threads: place i owns
 /// rows [i*m/P, (i+1)*m/P) of A and C; B is shared read-only. Output
 /// slices are disjoint, so the fan-out is race-free by construction.
-double gemmWallMs(int places, int reps) {
+FanOutMs gemmWallMs(int places, int reps) {
   RuntimeConfig cfg;
   cfg.numPlaces = places;
   cfg.backend = Backend::Threads;
@@ -80,19 +116,14 @@ double gemmWallMs(int places, int reps) {
     aBlocks.push_back(la::makeUniformDense(rows, k, 100 + p));
     cBlocks.emplace_back(rows, n);
   }
-  const PlaceGroup pg = PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    apgas::ateach(pg, [&](Place p) {
-      const auto i = static_cast<std::size_t>(p.id());
-      la::gemm(aBlocks[i], b, cBlocks[i]);
-    });
-  }
-  return wallMs(t0);
+  return fanOutMs(places, reps, [&](Place p) {
+    const auto i = static_cast<std::size_t>(p.id());
+    la::gemm(aBlocks[i], b, cBlocks[i]);
+  });
 }
 
 /// Row-partitioned sparse C = A * B, same shape as gemmWallMs.
-double spmmWallMs(int places, int reps) {
+FanOutMs spmmWallMs(int places, int reps) {
   RuntimeConfig cfg;
   cfg.numPlaces = places;
   cfg.backend = Backend::Threads;
@@ -107,15 +138,10 @@ double spmmWallMs(int places, int reps) {
     aBlocks.push_back(la::makeUniformSparse(rows, n, 8, 200 + p));
     cBlocks.emplace_back(rows, cols);
   }
-  const PlaceGroup pg = PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    apgas::ateach(pg, [&](Place p) {
-      const auto i = static_cast<std::size_t>(p.id());
-      la::spmm(aBlocks[i], b, cBlocks[i]);
-    });
-  }
-  return wallMs(t0);
+  return fanOutMs(places, reps, [&](Place p) {
+    const auto i = static_cast<std::size_t>(p.id());
+    la::spmm(aBlocks[i], b, cBlocks[i]);
+  });
 }
 
 struct FinishProbe {
@@ -178,16 +204,19 @@ int main(int argc, char** argv) {
 
   // 1. Kernel scaling over place threads.
   const int kGemmReps = 20, kSpmmReps = 20;
-  const double gemm1 = gemmWallMs(1, kGemmReps);
-  const double gemm2 = gemmWallMs(2, kGemmReps);
-  const double gemm4 = gemmWallMs(4, kGemmReps);
-  const double spmm1 = spmmWallMs(1, kSpmmReps);
-  const double spmm2 = spmmWallMs(2, kSpmmReps);
-  const double spmm4 = spmmWallMs(4, kSpmmReps);
-  const double gemmSpeedup2 = gemm2 > 0 ? gemm1 / gemm2 : 0.0;
-  const double gemmSpeedup4 = gemm4 > 0 ? gemm1 / gemm4 : 0.0;
-  const double spmmSpeedup2 = spmm2 > 0 ? spmm1 / spmm2 : 0.0;
-  const double spmmSpeedup4 = spmm4 > 0 ? spmm1 / spmm4 : 0.0;
+  const FanOutMs gemm1 = gemmWallMs(1, kGemmReps);
+  const FanOutMs gemm2 = gemmWallMs(2, kGemmReps);
+  const FanOutMs gemm4 = gemmWallMs(4, kGemmReps);
+  const FanOutMs spmm1 = spmmWallMs(1, kSpmmReps);
+  const FanOutMs spmm2 = spmmWallMs(2, kSpmmReps);
+  const FanOutMs spmm4 = spmmWallMs(4, kSpmmReps);
+  auto speedup = [](double one, double many) {
+    return many > 0 ? one / many : 0.0;
+  };
+  const double gemmSpeedup2 = speedup(gemm1.best, gemm2.best);
+  const double gemmSpeedup4 = speedup(gemm1.best, gemm4.best);
+  const double spmmSpeedup2 = speedup(spmm1.best, spmm2.best);
+  const double spmmSpeedup4 = speedup(spmm1.best, spmm4.best);
   const bool gemmOk = gemmSpeedup4 >= 1.5 || hw < 4;
   const bool spmmOk = spmmSpeedup4 >= 1.5 || hw < 4;
 
@@ -258,16 +287,24 @@ int main(int argc, char** argv) {
       << reconvBucket(restore.reconvergeIterations) << "\"\n"
       << "    },\n    \"wall\": {\n"
       << "      \"hw_threads\": " << hw << ",\n"
-      << "      \"gemm_ms_p1\": " << num(gemm1) << ",\n"
-      << "      \"gemm_ms_p2\": " << num(gemm2) << ",\n"
-      << "      \"gemm_ms_p4\": " << num(gemm4) << ",\n"
+      << "      \"gemm_ms_p1\": " << num(gemm1.best) << ",\n"
+      << "      \"gemm_ms_p2\": " << num(gemm2.best) << ",\n"
+      << "      \"gemm_ms_p4\": " << num(gemm4.best) << ",\n"
       << "      \"gemm_speedup_p2\": " << num(gemmSpeedup2) << ",\n"
       << "      \"gemm_speedup_p4\": " << num(gemmSpeedup4) << ",\n"
-      << "      \"spmm_ms_p1\": " << num(spmm1) << ",\n"
-      << "      \"spmm_ms_p2\": " << num(spmm2) << ",\n"
-      << "      \"spmm_ms_p4\": " << num(spmm4) << ",\n"
+      << "      \"gemm_median_ms_p1\": " << num(gemm1.median) << ",\n"
+      << "      \"gemm_median_ms_p4\": " << num(gemm4.median) << ",\n"
+      << "      \"gemm_median_speedup_p4\": "
+      << num(speedup(gemm1.median, gemm4.median)) << ",\n"
+      << "      \"spmm_ms_p1\": " << num(spmm1.best) << ",\n"
+      << "      \"spmm_ms_p2\": " << num(spmm2.best) << ",\n"
+      << "      \"spmm_ms_p4\": " << num(spmm4.best) << ",\n"
       << "      \"spmm_speedup_p2\": " << num(spmmSpeedup2) << ",\n"
-      << "      \"spmm_speedup_p4\": " << num(spmmSpeedup4) << ",\n";
+      << "      \"spmm_speedup_p4\": " << num(spmmSpeedup4) << ",\n"
+      << "      \"spmm_median_ms_p1\": " << num(spmm1.median) << ",\n"
+      << "      \"spmm_median_ms_p4\": " << num(spmm4.median) << ",\n"
+      << "      \"spmm_median_speedup_p4\": "
+      << num(speedup(spmm1.median, spmm4.median)) << ",\n";
   for (const Curve& c : curves) {
     out << "      \"finish_us_p" << c.places
         << ".plain\": " << num(c.plain.usPerFinish) << ",\n"

@@ -6,7 +6,8 @@
 // {"flight_bench": {
 //    "deterministic": {            // gated exactly
 //      "overhead_ok",              // recorder on/off wall ratio <= 1.05
-//                                  // for both workloads (min-of-9 A/B)
+//                                  // for both workloads (median of the
+//                                  // paired on/off block ratios)
 //      "ack_samples_p<P>.place0" / ".others"  for P in {1,2,4,8},
 //                                  // recorded AckWaitEnd sample counts:
 //                                  // place0 = R, others = R*(P-1)
@@ -14,7 +15,9 @@
 //    "wall": {                     // machine-dependent; gate ignores it
 //      "hw_threads",
 //      "finish_ratio", "gemm_ratio",
-//      "finish_ms_on/off", "gemm_ms_on/off",
+//      "finish_ratio_q25/q75", "gemm_ratio_q25/q75", // of the pair ratios
+//      "finish_pairs", "gemm_pairs",
+//      "finish_ms_on/off", "gemm_ms_on/off",       // median block times
 //      "ack_p<P>.place0_p50_us/.place0_p99_us/"
 //      ".others_max_p50_us/.others_max_p99_us",
 //      "ack_p<P>.place0_ge_others",  // p50 AND p99 >= max of others
@@ -24,9 +27,10 @@
 // Two experiments:
 //  1. Overhead A/B — the always-on contract: the same workloads (repeated
 //     resilient empty-task fan-outs, and a row-partitioned gemm fan-out,
-//     both P=4 on the Threads backend) run with the recorder on and off,
-//     9 interleaved trials each, min-of-9 compared. The deterministic
-//     "overhead_ok" fact asserts both ratios stay within the 5% budget.
+//     both P=4 on the Threads backend) run with the recorder on and off
+//     in warmed-up worlds, as hundreds of interleaved on/off block pairs
+//     (see recorderAb). The deterministic "overhead_ok" fact asserts
+//     both median pair ratios stay within the 5% budget.
 //  2. Ack-wait curve — the paper's place-0 finish serialisation (Figs
 //     2-4) observed from the inside: for P in {1,2,4,8}, place 0 runs R
 //     global fan-out finishes, each fanning a 2-task local finish to
@@ -37,9 +41,11 @@
 //     extracted from the recorder's own forensic dump through the same
 //     analyzer tools/flight_report uses — form the curve, and the P=8
 //     dump is saved via --flight-out for that tool.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -66,68 +72,136 @@ double wallMs(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-/// Repeated resilient empty-task fan-outs over `places` (the
-/// finish-bookkeeping-bound workload from bench_backend).
-double finishWallMs(bool recorder, int places, int reps) {
+constexpr int kAbPlaces = 4;
+/// World pairs per A/B: the guest places each world's threads on the
+/// vCPUs its own way, so more than one pair keeps one placement from
+/// deciding the verdict.
+constexpr int kWorldPairs = 12;
+/// Untimed alternating blocks per world pair before timing: a fresh
+/// world's first fan-outs run before the guest has spread its threads.
+constexpr double kWarmupMs = 50.0;
+
+/// A P=4 Threads world, built and then parked (detached from the calling
+/// thread), so that the recorder-on and recorder-off worlds of one A/B
+/// can both stay alive and take turns.
+std::unique_ptr<Runtime> parkedWorld(bool recorder, bool resilient) {
   RuntimeConfig cfg;
-  cfg.numPlaces = places;
+  cfg.numPlaces = kAbPlaces;
   cfg.backend = Backend::Threads;
-  cfg.resilientFinish = true;
+  cfg.resilientFinish = resilient;
   cfg.flightRecorder = recorder;
-  apgas::WorldGuard guard(cfg);
-  const PlaceGroup pg =
-      PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    apgas::ateach(pg, [](Place) {});
-  }
-  return wallMs(t0);
+  Runtime::init(cfg);
+  return Runtime::detach();
 }
 
-/// Row-partitioned gemm fan-out (compute-bound; the recorder should be
-/// invisible here).
-double gemmWallMs(bool recorder, int places, int reps) {
-  RuntimeConfig cfg;
-  cfg.numPlaces = places;
-  cfg.backend = Backend::Threads;
-  cfg.flightRecorder = recorder;
-  apgas::WorldGuard guard(cfg);
+/// Wall ms of one `block` run in the parked world `world`.
+template <typename Block>
+double timedIn(std::unique_ptr<Runtime>& world, const Block& block) {
+  Runtime::attach(std::move(world));
+  const auto t0 = std::chrono::steady_clock::now();
+  block();
+  const double ms = wallMs(t0);
+  world = Runtime::detach();
+  return ms;
+}
+
+/// The q-quantile (lower nearest rank) of `v`.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+}
+
+struct AbResult {
+  double ratio = 0.0;  ///< median of the per-pair on/off block ratios
+  double ratioQ25 = 0.0;
+  double ratioQ75 = 0.0;
+  double onMs = 0.0;  ///< median block time, recorder on
+  double offMs = 0.0;
+  long pairs = 0;
+};
+
+/// Recorder on/off A/B of one workload `block`. Building a world per
+/// trial would time thread start-up and the guest spreading the new
+/// threads over the vCPUs, which swamps a few-percent effect. Instead,
+/// for each of kWorldPairs pairs, one world with the recorder and one
+/// without are built and warmed up, then `pairs` timed blocks of each
+/// run interleaved, alternating which arm goes first so that slow drift
+/// cancels. The verdict ratio is the median of the per-pair on/off
+/// ratios: a neighbour's burst moves the ratio of the pair it lands on,
+/// not the median.
+template <typename Block>
+AbResult recorderAb(bool resilient, int pairs, const Block& block) {
+  std::vector<double> ratios;
+  std::vector<double> on;
+  std::vector<double> off;
+  for (int wp = 0; wp < kWorldPairs; ++wp) {
+    // The world built second runs slower by a percent or two for a while
+    // (an A/A run with both arms off shows it), so pairs alternate which
+    // arm is built first.
+    std::unique_ptr<Runtime> withRecorder;
+    std::unique_ptr<Runtime> without;
+    if (wp % 2 == 0) {
+      withRecorder = parkedWorld(true, resilient);
+      without = parkedWorld(false, resilient);
+    } else {
+      without = parkedWorld(false, resilient);
+      withRecorder = parkedWorld(true, resilient);
+    }
+    const auto warm0 = std::chrono::steady_clock::now();
+    while (wallMs(warm0) < kWarmupMs) {
+      timedIn(withRecorder, block);
+      timedIn(without, block);
+    }
+    for (int i = 0; i < pairs; ++i) {
+      const bool onFirst = i % 2 == 0;
+      const double first = timedIn(onFirst ? withRecorder : without, block);
+      const double second = timedIn(onFirst ? without : withRecorder, block);
+      const double a = onFirst ? first : second;
+      const double b = onFirst ? second : first;
+      on.push_back(a);
+      off.push_back(b);
+      ratios.push_back(a / b);
+    }
+  }
+  AbResult r;
+  r.ratio = quantile(ratios, 0.5);
+  r.ratioQ25 = quantile(ratios, 0.25);
+  r.ratioQ75 = quantile(ratios, 0.75);
+  r.onMs = quantile(on, 0.5);
+  r.offMs = quantile(off, 0.5);
+  r.pairs = static_cast<long>(ratios.size());
+  return r;
+}
+
+/// Resilient empty-task fan-outs (the finish-bookkeeping-bound workload
+/// from bench_backend), 8 per timed block.
+AbResult finishAb() {
+  const PlaceGroup pg = PlaceGroup::firstPlaces(kAbPlaces);
+  return recorderAb(true, 200, [&pg] {
+    for (int rep = 0; rep < 8; ++rep) apgas::ateach(pg, [](Place) {});
+  });
+}
+
+/// Row-partitioned gemm fan-outs (compute-bound; the recorder should be
+/// invisible here), one per timed block.
+AbResult gemmAb() {
   const long m = 384, k = 256, n = 48;
   const la::DenseMatrix b = la::makeUniformDense(k, n, 7);
   std::vector<la::DenseMatrix> aBlocks;
   std::vector<la::DenseMatrix> cBlocks;
-  for (int p = 0; p < places; ++p) {
-    const long r0 = m * p / places;
-    const long rows = m * (p + 1) / places - r0;
+  for (int p = 0; p < kAbPlaces; ++p) {
+    const long r0 = m * p / kAbPlaces;
+    const long rows = m * (p + 1) / kAbPlaces - r0;
     aBlocks.push_back(la::makeUniformDense(rows, k, 100 + p));
     cBlocks.emplace_back(rows, n);
   }
-  const PlaceGroup pg =
-      PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
+  const PlaceGroup pg = PlaceGroup::firstPlaces(kAbPlaces);
+  return recorderAb(false, 30, [&] {
     apgas::ateach(pg, [&](Place p) {
       const auto i = static_cast<std::size_t>(p.id());
       la::gemm(aBlocks[i], b, cBlocks[i]);
     });
-  }
-  return wallMs(t0);
-}
-
-/// Min over 9 interleaved on/off trials of `run(bool recorder)` — the A/B
-/// layout cancels slow drift (thermal, background load) that a
-/// back-to-back layout would attribute to one arm, and the min discards
-/// trials a background burst landed on.
-template <typename Run>
-std::pair<double, double> minOfTrials(Run run) {
-  double minOn = 0.0, minOff = 0.0;
-  for (int trial = 0; trial < 9; ++trial) {
-    const double on = run(true);
-    const double off = run(false);
-    if (trial == 0 || on < minOn) minOn = on;
-    if (trial == 0 || off < minOff) minOff = off;
-  }
-  return {minOn, minOff};
+  });
 }
 
 struct AckCurve {
@@ -224,13 +298,9 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
 
   // 1. Overhead A/B.
-  const auto [finishOn, finishOff] =
-      minOfTrials([](bool rec) { return finishWallMs(rec, 4, 300); });
-  const auto [gemmOn, gemmOff] =
-      minOfTrials([](bool rec) { return gemmWallMs(rec, 4, 15); });
-  const double finishRatio = finishOff > 0 ? finishOn / finishOff : 0.0;
-  const double gemmRatio = gemmOff > 0 ? gemmOn / gemmOff : 0.0;
-  const bool overheadOk = finishRatio <= 1.05 && gemmRatio <= 1.05;
+  const AbResult finish = finishAb();
+  const AbResult gemm = gemmAb();
+  const bool overheadOk = finish.ratio <= 1.05 && gemm.ratio <= 1.05;
 
   // 2. Ack-wait curve over place counts.
   const int kReps = 50;
@@ -264,13 +334,18 @@ int main(int argc, char** argv) {
         << (c.places == 8 ? "\n" : ",\n");
   }
   out << "    },\n    \"wall\": {\n"
-      << "      \"hw_threads\": " << hw << ",\n"
-      << "      \"finish_ms_on\": " << num(finishOn) << ",\n"
-      << "      \"finish_ms_off\": " << num(finishOff) << ",\n"
-      << "      \"finish_ratio\": " << num(finishRatio) << ",\n"
-      << "      \"gemm_ms_on\": " << num(gemmOn) << ",\n"
-      << "      \"gemm_ms_off\": " << num(gemmOff) << ",\n"
-      << "      \"gemm_ratio\": " << num(gemmRatio) << ",\n";
+      << "      \"hw_threads\": " << hw << ",\n";
+  for (const auto& [name, ab] : {std::pair{"finish", finish},
+                                 std::pair{"gemm", gemm}}) {
+    out << "      \"" << name << "_ms_on\": " << num(ab.onMs) << ",\n"
+        << "      \"" << name << "_ms_off\": " << num(ab.offMs) << ",\n"
+        << "      \"" << name << "_ratio\": " << num(ab.ratio) << ",\n"
+        << "      \"" << name << "_ratio_q25\": " << num(ab.ratioQ25)
+        << ",\n"
+        << "      \"" << name << "_ratio_q75\": " << num(ab.ratioQ75)
+        << ",\n"
+        << "      \"" << name << "_pairs\": " << ab.pairs << ",\n";
+  }
   for (const AckCurve& c : curves) {
     const auto& pt = c.point;
     const bool ge = pt.place0P50Us >= pt.othersMaxP50Us &&
@@ -289,8 +364,8 @@ int main(int argc, char** argv) {
   out << "      \"watchdog_verdicts_p8\": " << curves.back().verdicts
       << "\n    }\n  }\n}\n";
 
-  std::cout << "recorder overhead: finish " << finishRatio << "x, gemm "
-            << gemmRatio << "x (budget 1.05, hw_threads=" << hw << ")\n";
+  std::cout << "recorder overhead: finish " << finish.ratio << "x, gemm "
+            << gemm.ratio << "x (budget 1.05, hw_threads=" << hw << ")\n";
   for (const AckCurve& c : curves) {
     std::cout << "P=" << c.places << ": place0 ack p50/p99 "
               << c.point.place0P50Us << "/" << c.point.place0P99Us

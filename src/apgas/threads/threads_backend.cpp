@@ -46,8 +46,30 @@ ThreadsBackend::ThreadsBackend(Runtime& rt, const RuntimeConfig& config)
       t0_(std::chrono::steady_clock::now()) {
   const int numPlaces = config.numPlaces;
   if (config.flightRecorder) {
+    // Progress is counted under the queue locks the backend takes
+    // anyway, so a message costs no extra shared cache line; the sampler
+    // reads a queue's counters and depth under the same lock.
     flight_ = std::make_unique<obs::flight::FlightRecorder>(
-        numPlaces, config.flightRingCapacity);
+        numPlaces, config.flightRingCapacity, [this](int queue) {
+          obs::flight::FlightRecorder::ProgressSnapshot snap;
+          if (queue == obs::flight::kCtrlQueue) {
+            std::lock_guard<std::mutex> lock(ctrlMu_);
+            snap.enqueues = ctrlEnqueues_;
+            snap.dequeues = ctrlDequeues_;
+            snap.depth = static_cast<long>(ctrlQ_.size());
+            return snap;
+          }
+          if (queue < 0 || queue >= this->numPlaces()) return snap;
+          PlaceState& ps = place(queue);
+          {
+            std::lock_guard<std::mutex> lock(ps.inbox.mu);
+            snap.enqueues = ps.inbox.enqueues;
+            snap.dequeues = ps.inbox.dequeues;
+            snap.depth = static_cast<long>(ps.inbox.q.size());
+          }
+          snap.dead = ps.dead.load(std::memory_order_acquire);
+          return snap;
+        });
     // The constructing thread doubles as place 0's worker.
     flight_->bindCurrentThread("p0", 0);
     watchdog_ = std::make_unique<obs::flight::StallWatchdog>(
@@ -154,11 +176,11 @@ bool ThreadsBackend::push(PlaceId p, TaskMsg msg) {
     if (ps.inbox.poisoned) return false;
     ps.inbox.q.push_back(std::move(msg));
     ++ps.inbox.epoch;
+    ++ps.inbox.enqueues;
     depth = static_cast<long>(ps.inbox.q.size());
   }
   ps.inbox.cv.notify_all();
   if (flight_) {
-    flight_->noteEnqueue(static_cast<int>(p), depth);
     flightEvent(obs::flight::EventKind::Enqueue, static_cast<int>(p),
                 depth, 0.0, msg.enqueuedAt);
   }
@@ -181,13 +203,13 @@ bool ThreadsBackend::drainOne(Inbox& in) {
     if (in.q.empty()) return false;
     msg = std::move(in.q.front());
     in.q.pop_front();
+    ++in.dequeues;
     depth = static_cast<long>(in.q.size());
   }
   if (flight_) {
     // drainOne always runs on the inbox owner's thread (the worker, or a
     // thread blocked in waitFinish/waitAt draining its own place).
     const int queue = static_cast<int>(ctx().place);
-    flight_->noteDequeue(queue, depth);
     const double t = now();
     flightEvent(obs::flight::EventKind::Dequeue, queue, depth,
                 t - msg.enqueuedAt, t);
@@ -516,7 +538,6 @@ bool ThreadsBackend::kill(PlaceId p) {
   }
   ps.inbox.cv.notify_all();
   if (flight_) {
-    flight_->markDead(static_cast<int>(p));
     flightEvent(obs::flight::EventKind::Poison, static_cast<int>(p),
                 static_cast<long>(orphans.size()), 0.0, now());
   }
@@ -598,20 +619,18 @@ void ThreadsBackend::ctrlLoop() {
   if (flight_) flight_->bindCurrentThread("ctrl", 1 << 20);
   for (;;) {
     CtrlMsg msg;
-    long depth = 0;
     {
       std::unique_lock<std::mutex> lock(ctrlMu_);
       ctrlCv_.wait(lock, [&] { return !ctrlQ_.empty() || ctrlStop_; });
       if (ctrlQ_.empty()) return;
       msg = ctrlQ_.front();
       ctrlQ_.pop_front();
-      depth = static_cast<long>(ctrlQ_.size());
+      // Counters only on this path, no flight events: a ctrl event pair
+      // per bookkeeping message (2*tasks+2 per resilient finish) would
+      // dominate the recorder's budget, and the watchdog needs just the
+      // counters. Ack-wait events capture the end-to-end ctrl latency.
+      ++ctrlDequeues_;
     }
-    // Counters only on this path: a ctrl event pair per bookkeeping
-    // message (2*tasks+2 per resilient finish) would dominate the
-    // recorder's budget, and the watchdog needs just the progress row.
-    // Ack-wait events capture the end-to-end ctrl latency instead.
-    if (flight_) flight_->noteDequeue(obs::flight::kCtrlQueue, depth);
     if (msg.waiter != nullptr) {
       // Notify while holding the waiter's mutex: the waiter lives on the
       // acking thread's stack and is destroyed the moment wait() returns,
@@ -627,14 +646,12 @@ void ThreadsBackend::ctrlLoop() {
 void ThreadsBackend::ctrlSend(CtrlMsg::Kind kind, AckWaiter* waiter) {
   stats_.bookkeepingMsgs.fetch_add(1, std::memory_order_relaxed);
   CtrlMsg msg{kind, waiter};
-  long depth = 0;
   {
     std::lock_guard<std::mutex> lock(ctrlMu_);
     ctrlQ_.push_back(msg);
-    depth = static_cast<long>(ctrlQ_.size());
+    ++ctrlEnqueues_;
   }
   ctrlCv_.notify_all();
-  if (flight_) flight_->noteEnqueue(obs::flight::kCtrlQueue, depth);
 }
 
 void ThreadsBackend::workerLoop(PlaceId p) {

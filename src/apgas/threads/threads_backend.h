@@ -149,6 +149,9 @@ class ThreadsBackend {
     std::deque<TaskMsg> q;
     std::uint64_t epoch = 0;  ///< bumps on push/poison/wake
     bool poisoned = false;
+    /// Progress for the flight recorder's watchdog, counted under mu.
+    std::uint64_t enqueues = 0;
+    std::uint64_t dequeues = 0;
   };
 
   struct PlaceState {
@@ -225,6 +228,8 @@ class ThreadsBackend {
   std::mutex ctrlMu_;
   std::condition_variable ctrlCv_;
   std::deque<CtrlMsg> ctrlQ_;
+  std::uint64_t ctrlEnqueues_ = 0;  ///< under ctrlMu_
+  std::uint64_t ctrlDequeues_ = 0;
   bool ctrlStop_ = false;
   std::thread ctrlThread_;
 

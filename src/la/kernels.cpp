@@ -4,8 +4,86 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 namespace rgml::la {
+
+namespace {
+
+// Two doubles in one 16-byte register (GCC/Clang vector extension). Each
+// lane's + and * is the scalar IEEE-754 operation, so a Pair op gives the
+// same bits as the two scalar ops it replaces.
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+Pair loadPair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void storePair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+/// y += a*xj over m rows, unless xj is zero: gemv_ref's per-column update.
+void addColumn(const double* a, double xj, double* y, long m) {
+  if (xj == 0.0) return;
+  for (long i = 0; i < m; ++i) y[i] += a[i] * xj;
+}
+
+/// y(:) += A(:, j..j+3) x(j..j+3) with every x entry non-zero. Each y[i]
+/// takes the four products in ascending j, as four separate adds, so the
+/// bits match four addColumn passes; y is loaded and stored once per row
+/// pair instead of once per column.
+void addFourColumns(const DenseMatrix& A, long j, std::span<const double> x,
+                    double* y) {
+  const long m = A.rows();
+  const double* a0 = A.col(j).data();
+  const double* a1 = a0 + m;
+  const double* a2 = a1 + m;
+  const double* a3 = a2 + m;
+  const auto ju = static_cast<std::size_t>(j);
+  const double x0 = x[ju], x1 = x[ju + 1], x2 = x[ju + 2], x3 = x[ju + 3];
+  const Pair v0 = {x0, x0}, v1 = {x1, x1}, v2 = {x2, x2}, v3 = {x3, x3};
+  long i = 0;
+  for (; i + 1 < m; i += 2) {
+    Pair c = loadPair(y + i);
+    c += loadPair(a0 + i) * v0;
+    c += loadPair(a1 + i) * v1;
+    c += loadPair(a2 + i) * v2;
+    c += loadPair(a3 + i) * v3;
+    storePair(y + i, c);
+  }
+  if (i < m) {
+    double c = y[i];
+    c += a0[i] * x0;
+    c += a1[i] * x1;
+    c += a2[i] * x2;
+    c += a3[i] * x3;
+    y[i] = c;
+  }
+}
+
+/// y(j+K) = prev + A(:, j+K) . x for each K, where prev is beta*y(j+K) or 0.
+/// Every column keeps its own accumulator, starting at 0.0 and adding in
+/// ascending i as dot() does; the columns share each x[i] load, so there
+/// are sizeof...(K) independent add chains instead of one.
+template <std::size_t... K>
+void dotColumns(const DenseMatrix& A, long j, std::span<const double> x,
+                std::span<double> y, double beta, std::index_sequence<K...>) {
+  const long m = A.rows();
+  const double* a = A.col(j).data();
+  double acc[sizeof...(K)] = {};
+  for (long i = 0; i < m; ++i) {
+    const double xi = x[static_cast<std::size_t>(i)];
+    ((acc[K] += a[static_cast<long>(K) * m + i] * xi), ...);
+  }
+  for (std::size_t k = 0; k < sizeof...(K); ++k) {
+    double& yj = y[static_cast<std::size_t>(j) + k];
+    const double prev = beta == 0.0 ? 0.0 : beta * yj;
+    yj = prev + acc[k];
+  }
+}
+
+}  // namespace
 
 double dot(std::span<const double> x, std::span<const double> y) {
   assert(x.size() == y.size());
@@ -53,6 +131,38 @@ void gemv(const DenseMatrix& A, std::span<const double> x,
   } else if (beta != 1.0) {
     scale(y, beta);
   }
+  // Columns in groups of four. gemv_ref skips a column whose x entry is
+  // zero, and skipping differs from adding a*0 when a is NaN or ±Inf or
+  // y[i] is -0.0, so a group holding a zero runs column by column.
+  const long m = A.rows();
+  const long n = A.cols();
+  long j = 0;
+  for (; j + 3 < n; j += 4) {
+    const auto ju = static_cast<std::size_t>(j);
+    if (x[ju] != 0.0 && x[ju + 1] != 0.0 && x[ju + 2] != 0.0 &&
+        x[ju + 3] != 0.0) {
+      addFourColumns(A, j, x, y.data());
+    } else {
+      for (long k = j; k < j + 4; ++k) {
+        addColumn(A.col(k).data(), x[static_cast<std::size_t>(k)], y.data(),
+                  m);
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    addColumn(A.col(j).data(), x[static_cast<std::size_t>(j)], y.data(), m);
+  }
+}
+
+void gemv_ref(const DenseMatrix& A, std::span<const double> x,
+              std::span<double> y, double beta) {
+  assert(static_cast<long>(x.size()) == A.cols());
+  assert(static_cast<long>(y.size()) == A.rows());
+  if (beta == 0.0) {
+    std::memset(y.data(), 0, y.size() * sizeof(double));
+  } else if (beta != 1.0) {
+    scale(y, beta);
+  }
   // Column-major traversal: one pass over each column, unit stride.
   for (long j = 0; j < A.cols(); ++j) {
     const double xj = x[static_cast<std::size_t>(j)];
@@ -66,6 +176,27 @@ void gemv(const DenseMatrix& A, std::span<const double> x,
 
 void gemvTrans(const DenseMatrix& A, std::span<const double> x,
                std::span<double> y, double beta) {
+  assert(static_cast<long>(x.size()) == A.rows());
+  assert(static_cast<long>(y.size()) == A.cols());
+  // Eight columns at a time, then at most one group each of 4, 2 and 1.
+  const long n = A.cols();
+  long j = 0;
+  for (; j + 7 < n; j += 8) {
+    dotColumns(A, j, x, y, beta, std::make_index_sequence<8>{});
+  }
+  if (j + 3 < n) {
+    dotColumns(A, j, x, y, beta, std::make_index_sequence<4>{});
+    j += 4;
+  }
+  if (j + 1 < n) {
+    dotColumns(A, j, x, y, beta, std::make_index_sequence<2>{});
+    j += 2;
+  }
+  if (j < n) dotColumns(A, j, x, y, beta, std::make_index_sequence<1>{});
+}
+
+void gemvTrans_ref(const DenseMatrix& A, std::span<const double> x,
+                   std::span<double> y, double beta) {
   assert(static_cast<long>(x.size()) == A.rows());
   assert(static_cast<long>(y.size()) == A.cols());
   for (long j = 0; j < A.cols(); ++j) {

@@ -43,13 +43,28 @@ void addScalar(std::span<double> y, double c);
 // ---- dense matrix-vector ---------------------------------------------------
 
 /// y = A*x (+beta*y): y_i = sum_j A(i,j) x_j. Requires |x| = A.cols,
-/// |y| = A.rows.
+/// |y| = A.rows. Register-blocked over groups of four columns (one load
+/// and store of y per row pair); each y_i still takes its column products
+/// in ascending j and skips columns whose x_j is zero, so results are
+/// bit-identical to gemv_ref.
 void gemv(const DenseMatrix& A, std::span<const double> x,
           std::span<double> y, double beta = 0.0);
 
-/// y = A^T*x (+beta*y). Requires |x| = A.rows, |y| = A.cols.
+/// Reference y = A*x (+beta*y): one unit-stride pass per column. The
+/// golden-equivalence oracle for gemv and the baseline in micro_la.
+void gemv_ref(const DenseMatrix& A, std::span<const double> x,
+              std::span<double> y, double beta = 0.0);
+
+/// y = A^T*x (+beta*y). Requires |x| = A.rows, |y| = A.cols. Eight
+/// column dot products share each x_i load; each keeps its own
+/// ascending-i accumulator, so results are bit-identical to gemvTrans_ref.
 void gemvTrans(const DenseMatrix& A, std::span<const double> x,
                std::span<double> y, double beta = 0.0);
+
+/// Reference y = A^T*x (+beta*y): one dot() per column. The
+/// golden-equivalence oracle for gemvTrans and the baseline in micro_la.
+void gemvTrans_ref(const DenseMatrix& A, std::span<const double> x,
+                   std::span<double> y, double beta = 0.0);
 
 // ---- dense matrix-matrix ----------------------------------------------------
 

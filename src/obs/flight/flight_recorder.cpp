@@ -116,26 +116,12 @@ struct TlsLaneRef {
 thread_local TlsLaneRef tlsLane;
 }  // namespace
 
-FlightRecorder::FlightRecorder(int places, std::size_t ringCapacity)
+FlightRecorder::FlightRecorder(int places, std::size_t ringCapacity,
+                               ProgressSource progress)
     : id_(nextRecorderId.fetch_add(1, std::memory_order_relaxed)),
-      ringCapacity_(ringCapacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  growTableLocked(places);
-}
-
-void FlightRecorder::growTableLocked(int n) {
-  for (int i = 0; i < n; ++i) progress_.emplace_back();
-  std::vector<Progress*> table;
-  table.reserve(progress_.size());
-  for (Progress& row : progress_) table.push_back(&row);
-  tables_.push_back(std::move(table));
-  // Publish the table before the count: a reader that acquires the new
-  // places_ value is then guaranteed a table covering it (a stale count
-  // with a newer table is harmless — row addresses never change).
-  table_.store(tables_.back().data(), std::memory_order_release);
-  places_.store(static_cast<int>(progress_.size()),
-                std::memory_order_release);
-}
+      ringCapacity_(ringCapacity),
+      progress_(std::move(progress)),
+      places_(places) {}
 
 void FlightRecorder::bindCurrentThread(const std::string& label,
                                        int sortKey) {
@@ -155,53 +141,8 @@ void FlightRecorder::record(const Event& e) {
   static_cast<Lane*>(tlsLane.lane)->ring.record(e);
 }
 
-void FlightRecorder::addPlaces(int n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  growTableLocked(n);
-}
-
-FlightRecorder::Progress* FlightRecorder::progressRow(
-    int queue) const noexcept {
-  if (queue == kCtrlQueue) return &ctrlProgress_;
-  // Lock-free: this runs on every message enqueue/dequeue, so taking mu_
-  // here would serialize all producers on one cache line (measured at
-  // >10% wall overhead on the empty-finish benchmark).
-  const int n = places_.load(std::memory_order_acquire);
-  if (queue < 0 || queue >= n) return nullptr;
-  return table_.load(std::memory_order_acquire)[queue];
-}
-
-void FlightRecorder::noteEnqueue(int queue, long depthAfter) noexcept {
-  if (Progress* row = progressRow(queue)) {
-    row->enqueues.fetch_add(1, std::memory_order_relaxed);
-    row->depth.store(depthAfter, std::memory_order_release);
-  }
-}
-
-void FlightRecorder::noteDequeue(int queue, long depthAfter) noexcept {
-  if (Progress* row = progressRow(queue)) {
-    row->dequeues.fetch_add(1, std::memory_order_relaxed);
-    row->depth.store(depthAfter, std::memory_order_release);
-  }
-}
-
-void FlightRecorder::markDead(int place) noexcept {
-  if (Progress* row = progressRow(place)) {
-    row->dead.store(true, std::memory_order_release);
-    row->depth.store(0, std::memory_order_release);
-  }
-}
-
-FlightRecorder::ProgressSnapshot FlightRecorder::progress(
-    int queue) const noexcept {
-  ProgressSnapshot snap;
-  if (const Progress* row = progressRow(queue)) {
-    snap.enqueues = row->enqueues.load(std::memory_order_relaxed);
-    snap.dequeues = row->dequeues.load(std::memory_order_relaxed);
-    snap.depth = row->depth.load(std::memory_order_acquire);
-    snap.dead = row->dead.load(std::memory_order_acquire);
-  }
-  return snap;
+void FlightRecorder::addPlaces(int n) noexcept {
+  places_.fetch_add(n, std::memory_order_acq_rel);
 }
 
 std::vector<FlightRecorder::LaneSnapshot> FlightRecorder::snapshotLanes()

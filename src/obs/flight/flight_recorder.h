@@ -29,7 +29,10 @@
 //     for every place inbox plus the resilient-finish control queue.
 //     These are what the watchdog samples: a stall is "no dequeue
 //     progress while the queue is non-empty", detected from the
-//     counters, never from wall-clock heuristics.
+//     counters, never from wall-clock heuristics. The engine that owns
+//     the queues counts them under the queue locks it takes anyway and
+//     hands the recorder a progress source that reads them: counters of
+//     the recorder's own would cost every message a shared cache line.
 //
 // Timestamps are supplied by the caller (the backend passes its wall
 // clock; tests pass synthetic values), so the recorder itself introduces
@@ -41,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -119,8 +123,8 @@ class FlightRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
-/// Per-world recorder: one lane per thread, one progress-counter row per
-/// place inbox plus the control queue.
+/// Per-world recorder: one lane per thread, plus a view of the progress
+/// of every place inbox and the control queue.
 class FlightRecorder {
  public:
   struct LaneSnapshot {
@@ -137,7 +141,14 @@ class FlightRecorder {
     bool dead = false;
   };
 
-  FlightRecorder(int places, std::size_t ringCapacity);
+  /// Reads one queue's progress (queue = place index or kCtrlQueue;
+  /// depth = messages queued now) from the engine that owns the queues;
+  /// queues it does not know read as all-zero. Called from the watchdog
+  /// sampler and from dumps, concurrently with the engine's own threads.
+  using ProgressSource = std::function<ProgressSnapshot(int queue)>;
+
+  FlightRecorder(int places, std::size_t ringCapacity,
+                 ProgressSource progress);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -154,15 +165,12 @@ class FlightRecorder {
   [[nodiscard]] int places() const noexcept {
     return places_.load(std::memory_order_acquire);
   }
-  /// Grow the progress table for elastically added places.
-  void addPlaces(int n);
+  /// Cover elastically added places in the watchdog and the dump.
+  void addPlaces(int n) noexcept;
 
-  // Progress counters. queue = place index or kCtrlQueue.
-  void noteEnqueue(int queue, long depthAfter) noexcept;
-  void noteDequeue(int queue, long depthAfter) noexcept;
-  /// Mark a place dead (its queue was drained by the kill path).
-  void markDead(int place) noexcept;
-  [[nodiscard]] ProgressSnapshot progress(int queue) const noexcept;
+  [[nodiscard]] ProgressSnapshot progress(int queue) const {
+    return progress_(queue);
+  }
 
   [[nodiscard]] std::size_t ringCapacity() const noexcept {
     return ringCapacity_;
@@ -181,34 +189,14 @@ class FlightRecorder {
         : label(std::move(l)), sortKey(key), ring(cap) {}
   };
 
-  struct Progress {
-    std::atomic<std::uint64_t> enqueues{0};
-    std::atomic<std::uint64_t> dequeues{0};
-    std::atomic<long> depth{0};
-    std::atomic<bool> dead{false};
-  };
-
-  [[nodiscard]] Progress* progressRow(int queue) const noexcept;
-  /// Append `n` rows and publish a fresh lookup table. Caller holds mu_.
-  void growTableLocked(int n);
-
   const std::uint64_t id_;
   const std::size_t ringCapacity_;
-  std::atomic<int> places_{0};
-  /// Guards the *structure* of lanes_/progress_/tables_ (growth); the
-  /// elements themselves are atomic and accessed lock-free afterwards.
-  /// deques keep element addresses stable across growth.
+  const ProgressSource progress_;
+  std::atomic<int> places_;
+  /// Guards the structure of lanes_ (growth); a lane's ring is read
+  /// lock-free afterwards. The deque keeps lane addresses stable.
   mutable std::mutex mu_;
   std::deque<Lane> lanes_;
-  mutable std::deque<Progress> progress_;
-  mutable Progress ctrlProgress_;
-  /// Row-pointer tables, one generation per addPlaces call; every
-  /// generation is retained so a concurrently loaded stale pointer stays
-  /// valid. Readers index table_ without a lock: rows are stable, and
-  /// places_ is published *after* table_ (release) so a reader that sees
-  /// the new count also sees a table covering it.
-  std::deque<std::vector<Progress*>> tables_;
-  std::atomic<Progress* const*> table_{nullptr};
 };
 
 }  // namespace rgml::obs::flight

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apgas/runtime.h"
+#include "fake_queues.h"
 #include "obs/analysis/flight_report.h"
 #include "obs/analysis/json.h"
 #include "obs/flight/flight_recorder.h"
@@ -109,49 +110,20 @@ TEST(FlightRecorderTest, EventKindNamesRoundTrip) {
   EXPECT_FALSE(parseEventKind("warp_core_breach", parsed));
 }
 
-TEST(FlightRecorderTest, ProgressCountersPerQueue) {
-  FlightRecorder rec(2, 16);
-  rec.noteEnqueue(0, 1);
-  rec.noteEnqueue(0, 2);
-  rec.noteDequeue(0, 1);
-  rec.noteEnqueue(kCtrlQueue, 5);
-  rec.noteEnqueue(7, 1);  // out of range: ignored, not a crash
-  const auto p0 = rec.progress(0);
-  EXPECT_EQ(p0.enqueues, 2u);
-  EXPECT_EQ(p0.dequeues, 1u);
-  EXPECT_EQ(p0.depth, 1);
-  EXPECT_FALSE(p0.dead);
-  EXPECT_EQ(rec.progress(kCtrlQueue).enqueues, 1u);
-  EXPECT_EQ(rec.progress(1).enqueues, 0u);
-  rec.markDead(1);
-  EXPECT_TRUE(rec.progress(1).dead);
-}
-
-TEST(FlightRecorderTest, AddPlacesGrowsProgressTable) {
-  FlightRecorder rec(2, 16);
-  EXPECT_EQ(rec.places(), 2);
-  rec.addPlaces(3);
-  EXPECT_EQ(rec.places(), 5);
-  rec.noteEnqueue(4, 1);
-  EXPECT_EQ(rec.progress(4).enqueues, 1u);
-  // Rows that existed before the growth keep their identity.
-  rec.noteEnqueue(0, 1);
-  EXPECT_EQ(rec.progress(0).enqueues, 1u);
-}
-
 /// Deterministic recorder population: `threads` lanes named p0..pN with
 /// synthetic timestamps, plus two manual watchdog samples under a fake
 /// clock. When `race` is set the lanes bind from concurrently racing
 /// threads — the dump must not depend on registration order.
 std::string buildDeterministicDump(int lanes, bool race) {
-  FlightRecorder rec(lanes, 8);
-  auto populate = [&rec](int lane) {
+  rgml_test::FakeQueues queues(lanes);
+  FlightRecorder rec(lanes, 8, queues.source());
+  auto populate = [&rec, &queues](int lane) {
     rec.bindCurrentThread("p" + std::to_string(lane), lane);
     for (int i = 0; i < 3; ++i) {
       rec.record(makeEvent(lane * 10.0 + i, EventKind::Enqueue, lane,
                            i + 1, 0.0));
     }
-    rec.noteEnqueue(lane, 3);
+    queues.enqueue(lane, 3);
   };
   if (race) {
     std::vector<std::thread> threads;
@@ -212,7 +184,8 @@ TEST(FlightAnalysisTest, PercentileConvention) {
 }
 
 TEST(FlightAnalysisTest, AckWaitGroupedByHomePlace) {
-  FlightRecorder rec(2, 32);
+  rgml_test::FakeQueues queues(2);
+  FlightRecorder rec(2, 32, queues.source());
   rec.bindCurrentThread("p0", 0);
   // Three finishes closed at place 0 (1ms, 2ms, 3ms), one at place 1.
   for (int i = 1; i <= 3; ++i) {
@@ -286,6 +259,65 @@ TEST(FlightRecorderTest, ThreadsBackendRecordsLifecycleEvents) {
       EXPECT_TRUE(q.dead);
     }
   }
+}
+
+// The Threads backend is the recorder's progress source: it counts each
+// queue under the queue's own lock. After a resilient finish closes,
+// every queue it used reads drained; a kill marks the place dead with an
+// empty queue; a queue the world does not have reads all-zero.
+TEST(FlightRecorderTest, ProgressCountersPerQueue) {
+  apgas::RuntimeConfig cfg;
+  cfg.numPlaces = 3;
+  cfg.backend = apgas::Backend::Threads;
+  cfg.resilientFinish = true;
+  apgas::WorldGuard guard(cfg);
+  apgas::Runtime& rt = apgas::Runtime::world();
+  const FlightRecorder* rec = rt.flightRecorder();
+  ASSERT_NE(rec, nullptr);
+  apgas::finish([] {
+    for (int i = 0; i < 3; ++i) apgas::asyncAt(apgas::Place(1), [] {});
+  });
+  const auto p1 = rec->progress(1);
+  EXPECT_EQ(p1.enqueues, 3u);
+  EXPECT_EQ(p1.dequeues, 3u);
+  EXPECT_EQ(p1.depth, 0);
+  EXPECT_FALSE(p1.dead);
+  EXPECT_EQ(rec->progress(2).enqueues, 0u);
+  // Register, 3 spawns, 3 terminations, then the ack, which the control
+  // thread answers only after popping everything queued before it.
+  const auto ctrl = rec->progress(kCtrlQueue);
+  EXPECT_EQ(ctrl.enqueues, 8u);
+  EXPECT_EQ(ctrl.dequeues, 8u);
+  EXPECT_EQ(ctrl.depth, 0);
+  rt.kill(2);
+  const auto p2 = rec->progress(2);
+  EXPECT_TRUE(p2.dead);
+  EXPECT_EQ(p2.depth, 0);
+  const auto none = rec->progress(7);
+  EXPECT_EQ(none.enqueues, 0u);
+  EXPECT_FALSE(none.dead);
+}
+
+// Elastically added places join the recorder's progress view: what the
+// watchdog samples and the dump lists (4 places, then the ctrl queue).
+TEST(FlightRecorderTest, AddPlacesGrowsProgressTable) {
+  apgas::RuntimeConfig cfg;
+  cfg.numPlaces = 2;
+  cfg.backend = apgas::Backend::Threads;
+  apgas::WorldGuard guard(cfg);
+  apgas::Runtime& rt = apgas::Runtime::world();
+  const FlightRecorder* rec = rt.flightRecorder();
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->places(), 2);
+  const auto fresh = rt.addPlaces(2);
+  ASSERT_EQ(fresh.size(), 2u);
+  EXPECT_EQ(rec->places(), 4);
+  apgas::finish([&fresh] { apgas::asyncAt(apgas::Place(fresh[1]), [] {}); });
+  const auto row = rec->progress(fresh[1]);
+  EXPECT_EQ(row.enqueues, 1u);
+  EXPECT_EQ(row.dequeues, 1u);
+  const auto root = obs::analysis::JsonValue::parse(rt.flightDump());
+  EXPECT_EQ(root.at("flight").at("progress").items().size(), 5u);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderYieldsEmptyDump) {

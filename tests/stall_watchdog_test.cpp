@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apgas/runtime.h"
+#include "fake_queues.h"
 #include "obs/analysis/json.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/flight/forensic_dump.h"
@@ -24,13 +25,16 @@ namespace {
 using namespace rgml;
 using namespace rgml::obs::flight;
 
-/// Recorder + fake-clock watchdog driven entirely by sampleNow().
+/// Hand-driven queues + recorder + fake-clock watchdog, sampled only by
+/// sampleNow().
 struct ManualWatchdog {
+  rgml_test::FakeQueues queues;
   FlightRecorder rec;
   double fakeNow = 0.0;
   StallWatchdog wd;
   explicit ManualWatchdog(int places)
-      : rec(places, 64),
+      : queues(places),
+        rec(places, 64, queues.source()),
         wd(rec, [this] { return fakeNow; }, /*periodSeconds=*/0.0) {}
   StallWatchdog::Sample tick(double dt = 1.0) {
     fakeNow += dt;
@@ -40,7 +44,7 @@ struct ManualWatchdog {
 
 TEST(StallWatchdogTest, StallFlaggedAtTheSecondStalledSample) {
   ManualWatchdog m(2);
-  m.rec.noteEnqueue(0, 1);  // one message queued, never dequeued
+  m.queues.enqueue(0, 1);  // one message queued, never dequeued
   m.tick();
   EXPECT_TRUE(m.wd.verdicts().empty());  // one sample proves nothing
   m.tick();
@@ -64,12 +68,12 @@ TEST(StallWatchdogTest, SlowButProgressingPlaceIsNeverFlagged) {
   ManualWatchdog m(2);
   long depth = 0;
   for (int i = 0; i < 8; ++i) {
-    m.rec.noteEnqueue(0, ++depth);
-    m.rec.noteEnqueue(0, ++depth);
+    m.queues.enqueue(0, ++depth);
+    m.queues.enqueue(0, ++depth);
   }
   for (int i = 0; i < 8; ++i) {
     // Deep queue, but one dequeue per sampling period: progress.
-    m.rec.noteDequeue(0, --depth);
+    m.queues.dequeue(0, --depth);
     m.tick(60.0);
   }
   EXPECT_TRUE(m.wd.verdicts().empty());
@@ -77,12 +81,12 @@ TEST(StallWatchdogTest, SlowButProgressingPlaceIsNeverFlagged) {
 
 TEST(StallWatchdogTest, OneVerdictPerEpisodeAndReArmAfterProgress) {
   ManualWatchdog m(2);
-  m.rec.noteEnqueue(0, 1);
+  m.queues.enqueue(0, 1);
   for (int i = 0; i < 5; ++i) m.tick();
   EXPECT_EQ(m.wd.verdicts().size(), 1u);  // episode dedup
-  m.rec.noteDequeue(0, 0);  // drains: episode ends
+  m.queues.dequeue(0, 0);  // drains: episode ends
   m.tick();
-  m.rec.noteEnqueue(0, 1);  // stalls again
+  m.queues.enqueue(0, 1);  // stalls again
   m.tick();
   m.tick();
   const auto verdicts = m.wd.verdicts();
@@ -92,8 +96,8 @@ TEST(StallWatchdogTest, OneVerdictPerEpisodeAndReArmAfterProgress) {
 
 TEST(StallWatchdogTest, DeadPlaceIsNeverFlagged) {
   ManualWatchdog m(2);
-  m.rec.noteEnqueue(1, 1);
-  m.rec.markDead(1);  // kill path: depth resets, dead set
+  m.queues.enqueue(1, 1);
+  m.queues.kill(1);  // kill path: depth resets, dead set
   m.tick();
   m.tick();
   EXPECT_TRUE(m.wd.verdicts().empty());
@@ -101,7 +105,7 @@ TEST(StallWatchdogTest, DeadPlaceIsNeverFlagged) {
 
 TEST(StallWatchdogTest, ControlQueueIsWatchedToo) {
   ManualWatchdog m(2);
-  m.rec.noteEnqueue(kCtrlQueue, 3);
+  m.queues.enqueue(kCtrlQueue, 3);
   m.tick();
   m.tick();
   const auto verdicts = m.wd.verdicts();
@@ -112,7 +116,7 @@ TEST(StallWatchdogTest, ControlQueueIsWatchedToo) {
 
 TEST(StallWatchdogTest, SamplesRecordRowsForAllQueues) {
   ManualWatchdog m(3);
-  m.rec.noteEnqueue(1, 2);
+  m.queues.enqueue(1, 2);
   const auto sample = m.tick();
   ASSERT_EQ(sample.rows.size(), 4u);  // places 0..2, then ctrl
   EXPECT_EQ(sample.rows[1].queue, 1);

@@ -37,13 +37,36 @@ using rgml::harness::ChaosSweeper;
 using rgml::harness::SweepOptions;
 namespace cli = rgml::harness::cli;
 
+/// "a|b|c" from the toString() names of `items`, so the help lists
+/// exactly what the parsers accept.
+template <typename T>
+std::string joinNames(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += '|';
+    out += toString(item);
+  }
+  return out;
+}
+
 void usage(std::ostream& os) {
+  std::vector<rgml::framework::RestoreMode> modes =
+      rgml::harness::allRestoreModes();
+  modes.push_back(rgml::framework::RestoreMode::AlgorithmBased);
   os << "chaos_sweep — fault-space sweeper with golden-result divergence "
         "checking\n\n"
-        "  --app K       linreg|logreg|pagerank|kmeans|gnnmf|all "
-        "(default linreg)\n"
-        "  --modes M     comma list of shrink|shrink-rebalance|"
-        "replace-redundant|replace-elastic, or all (default all)\n"
+        "  --app K       comma list of "
+     << joinNames(rgml::harness::allAppKinds())
+     << ",\n"
+        "                or all (default linreg)\n"
+        "  --modes M     comma list of\n"
+        "                "
+     << joinNames(modes)
+     << ",\n"
+        "                or all (default all: every mode but "
+     << toString(rgml::framework::RestoreMode::AlgorithmBased)
+     << ",\n"
+        "                which only the Krylov apps implement)\n"
         "  --iters N     iterations per run (default 12)\n"
         "  --places N    working places incl. place 0 (default 6)\n"
         "  --spares N    spare places for replace-redundant (default 2)\n"
