@@ -36,6 +36,7 @@
 #include "harness/cli.h"
 #include "harness/report.h"
 #include "harness/sweeper.h"
+#include "obs/json_util.h"
 
 namespace {
 
@@ -52,6 +53,7 @@ using rgml::harness::OutcomeKind;
 using rgml::harness::ScenarioOutcome;
 using rgml::harness::SweepOptions;
 using rgml::harness::SweepResult;
+using rgml::obs::jsonNumber;
 
 constexpr int kPlaces = 6;
 constexpr long kIterations = 16;
@@ -201,12 +203,6 @@ CorpusResult runCorpus(const Corpus& corpus) {
 
 // ---- output --------------------------------------------------------------
 
-std::string jsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 std::string lostKey(const LostCell& c) {
   return c.app + ".i" + std::to_string(c.interval) + "." +
          rgml::framework::toString(c.mode);
@@ -225,7 +221,7 @@ bool writeBench(const std::string& path, const std::vector<LostCell>& lost,
   for (std::size_t i = 0; i < lost.size(); ++i) {
     const LostCell& c = lost[i];
     os << "        \"" << lostKey(c) << "\": {\"lost\": "
-       << jsonNum(c.timeLostMs) << ", \"restored_to\": " << c.restoredTo
+       << jsonNumber(c.timeLostMs) << ", \"restored_to\": " << c.restoredTo
        << ", \"recovered\": " << c.recovered << "}"
        << (i + 1 < lost.size() ? "," : "") << '\n';
   }
@@ -241,7 +237,7 @@ bool writeBench(const std::string& path, const std::vector<LostCell>& lost,
     os << "}" << (i + 1 < corpora.size() ? "," : "") << '\n';
   }
   os << "      }\n    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNum(wallSeconds)
+     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
      << "\n    }\n  }\n}\n";
   return true;
 }

@@ -37,6 +37,7 @@
 #include "apps/pagerank_resilient.h"
 #include "apps/workloads.h"
 #include "bench_util.h"
+#include "obs/json_util.h"
 #include "resilient/app_resilient_store.h"
 
 namespace {
@@ -47,6 +48,7 @@ using rgml::apgas::Runtime;
 using rgml::framework::ExecutorConfig;
 using rgml::framework::ResilientExecutor;
 using rgml::framework::RestoreMode;
+using rgml::obs::jsonNumber;
 using rgml::resilient::AppResilientStore;
 using rgml::resilient::CheckpointMode;
 using rgml::resilient::LossyConfig;
@@ -168,12 +170,6 @@ Cell measureCell(const char* name, const Config& config, CheckpointMode mode) {
   return cell;
 }
 
-std::string jsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 std::string cellKey(const Cell& c) {
   return c.app + "." + rgml::resilient::toString(c.mode);
 }
@@ -188,10 +184,10 @@ bool writeBench(const std::string& path, const std::vector<Cell>& cells,
   os << "{\n  \"lossy_ablation\": {\n    \"deterministic\": {\n";
   for (const Cell& c : cells) {
     os << "      \"" << cellKey(c) << "\": {\n"
-       << "        \"fresh_mb_per_checkpoint\": " << jsonNum(c.freshMBPerCkpt)
-       << ",\n"
-       << "        \"stored_mb\": " << jsonNum(c.storedMB) << ",\n"
-       << "        \"checkpoint_ms\": " << jsonNum(c.checkpointMs) << ",\n"
+       << "        \"fresh_mb_per_checkpoint\": "
+       << jsonNumber(c.freshMBPerCkpt) << ",\n"
+       << "        \"stored_mb\": " << jsonNumber(c.storedMB) << ",\n"
+       << "        \"checkpoint_ms\": " << jsonNumber(c.checkpointMs) << ",\n"
        << "        \"recovered\": " << c.recovered << "\n      },\n";
   }
   os << "      \"reconverge\": {\n";
@@ -201,7 +197,7 @@ bool writeBench(const std::string& path, const std::vector<Cell>& cells,
        << (i + 1 < cells.size() ? "," : "") << '\n';
   }
   os << "      }\n    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNum(wallSeconds)
+     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
      << "\n    }\n  }\n}\n";
   return true;
 }

@@ -30,6 +30,7 @@
 #include "apps/pagerank_resilient.h"
 #include "apps/workloads.h"
 #include "bench_util.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "resilient/app_resilient_store.h"
@@ -42,6 +43,7 @@ using rgml::apgas::Runtime;
 using rgml::framework::ExecutorConfig;
 using rgml::framework::ResilientExecutor;
 using rgml::framework::RestoreMode;
+using rgml::obs::jsonNumber;
 using rgml::resilient::AppResilientStore;
 using rgml::resilient::CheckpointMode;
 
@@ -137,12 +139,6 @@ Cell measureCell(const char* name, const Config& config, int k) {
   return cell;
 }
 
-std::string jsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 bool writeBench(const std::string& path, const std::vector<Cell>& cells,
                 std::size_t jobs, double wallSeconds) {
   std::ofstream os(path);
@@ -155,17 +151,17 @@ bool writeBench(const std::string& path, const std::vector<Cell>& cells,
     const Cell& c = cells[i];
     os << "      \"" << c.app << ".k" << c.k << "\": {\n"
        << "        \"replica_mb_per_checkpoint\": "
-       << jsonNum(c.replicaMBPerCkpt) << ",\n"
+       << jsonNumber(c.replicaMBPerCkpt) << ",\n"
        << "        \"payload_mb_per_checkpoint\": "
-       << jsonNum(c.payloadMBPerCkpt) << ",\n"
-       << "        \"checkpoint_ms\": " << jsonNum(c.checkpointMs) << ",\n"
+       << jsonNumber(c.payloadMBPerCkpt) << ",\n"
+       << "        \"checkpoint_ms\": " << jsonNumber(c.checkpointMs) << ",\n"
        << "        \"survives_k_minus_1_simultaneous_kills\": "
        << c.survivesKMinus1 << ",\n"
        << "        \"fatal_at_k_simultaneous_kills\": " << c.fatalAtK
        << "\n      }" << (i + 1 < cells.size() ? "," : "") << '\n';
   }
   os << "    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNum(wallSeconds)
+     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
      << "\n    }\n  }\n}\n";
   return true;
 }

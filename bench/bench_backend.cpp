@@ -43,7 +43,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,10 +52,12 @@
 #include "harness/sweeper.h"
 #include "la/kernels.h"
 #include "la/rand.h"
+#include "obs/json_util.h"
 
 namespace {
 
 using namespace rgml;
+using obs::jsonNumber;
 using apgas::Backend;
 using apgas::Place;
 using apgas::PlaceGroup;
@@ -167,12 +168,6 @@ FinishProbe finishProbe(Backend backend, int places, bool resilient,
   probe.usPerFinish = wallMs(t0) * 1000.0 / reps;
   probe.bookkeepingPerFinish = rt.stats().bookkeepingMsgs / reps;
   return probe;
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 const char* reconvBucket(long iters) {
@@ -287,32 +282,32 @@ int main(int argc, char** argv) {
       << reconvBucket(restore.reconvergeIterations) << "\"\n"
       << "    },\n    \"wall\": {\n"
       << "      \"hw_threads\": " << hw << ",\n"
-      << "      \"gemm_ms_p1\": " << num(gemm1.best) << ",\n"
-      << "      \"gemm_ms_p2\": " << num(gemm2.best) << ",\n"
-      << "      \"gemm_ms_p4\": " << num(gemm4.best) << ",\n"
-      << "      \"gemm_speedup_p2\": " << num(gemmSpeedup2) << ",\n"
-      << "      \"gemm_speedup_p4\": " << num(gemmSpeedup4) << ",\n"
-      << "      \"gemm_median_ms_p1\": " << num(gemm1.median) << ",\n"
-      << "      \"gemm_median_ms_p4\": " << num(gemm4.median) << ",\n"
+      << "      \"gemm_ms_p1\": " << jsonNumber(gemm1.best) << ",\n"
+      << "      \"gemm_ms_p2\": " << jsonNumber(gemm2.best) << ",\n"
+      << "      \"gemm_ms_p4\": " << jsonNumber(gemm4.best) << ",\n"
+      << "      \"gemm_speedup_p2\": " << jsonNumber(gemmSpeedup2) << ",\n"
+      << "      \"gemm_speedup_p4\": " << jsonNumber(gemmSpeedup4) << ",\n"
+      << "      \"gemm_median_ms_p1\": " << jsonNumber(gemm1.median) << ",\n"
+      << "      \"gemm_median_ms_p4\": " << jsonNumber(gemm4.median) << ",\n"
       << "      \"gemm_median_speedup_p4\": "
-      << num(speedup(gemm1.median, gemm4.median)) << ",\n"
-      << "      \"spmm_ms_p1\": " << num(spmm1.best) << ",\n"
-      << "      \"spmm_ms_p2\": " << num(spmm2.best) << ",\n"
-      << "      \"spmm_ms_p4\": " << num(spmm4.best) << ",\n"
-      << "      \"spmm_speedup_p2\": " << num(spmmSpeedup2) << ",\n"
-      << "      \"spmm_speedup_p4\": " << num(spmmSpeedup4) << ",\n"
-      << "      \"spmm_median_ms_p1\": " << num(spmm1.median) << ",\n"
-      << "      \"spmm_median_ms_p4\": " << num(spmm4.median) << ",\n"
+      << jsonNumber(speedup(gemm1.median, gemm4.median)) << ",\n"
+      << "      \"spmm_ms_p1\": " << jsonNumber(spmm1.best) << ",\n"
+      << "      \"spmm_ms_p2\": " << jsonNumber(spmm2.best) << ",\n"
+      << "      \"spmm_ms_p4\": " << jsonNumber(spmm4.best) << ",\n"
+      << "      \"spmm_speedup_p2\": " << jsonNumber(spmmSpeedup2) << ",\n"
+      << "      \"spmm_speedup_p4\": " << jsonNumber(spmmSpeedup4) << ",\n"
+      << "      \"spmm_median_ms_p1\": " << jsonNumber(spmm1.median) << ",\n"
+      << "      \"spmm_median_ms_p4\": " << jsonNumber(spmm4.median) << ",\n"
       << "      \"spmm_median_speedup_p4\": "
-      << num(speedup(spmm1.median, spmm4.median)) << ",\n";
+      << jsonNumber(speedup(spmm1.median, spmm4.median)) << ",\n";
   for (const Curve& c : curves) {
     out << "      \"finish_us_p" << c.places
-        << ".plain\": " << num(c.plain.usPerFinish) << ",\n"
+        << ".plain\": " << jsonNumber(c.plain.usPerFinish) << ",\n"
         << "      \"finish_us_p" << c.places
-        << ".resilient\": " << num(c.resilient.usPerFinish) << ",\n";
+        << ".resilient\": " << jsonNumber(c.resilient.usPerFinish) << ",\n";
   }
-  out << "      \"restore_ms\": " << num(restore.restoreMs) << ",\n"
-      << "      \"total_ms\": " << num(restore.totalMs) << "\n"
+  out << "      \"restore_ms\": " << jsonNumber(restore.restoreMs) << ",\n"
+      << "      \"total_ms\": " << jsonNumber(restore.totalMs) << "\n"
       << "    }\n  }\n}\n";
 
   std::cout << "gemm 1->4 places: " << gemmSpeedup4 << "x, spmm: "

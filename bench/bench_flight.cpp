@@ -46,7 +46,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,10 +55,12 @@
 #include "la/rand.h"
 #include "obs/analysis/flight_report.h"
 #include "obs/analysis/json.h"
+#include "obs/json_util.h"
 
 namespace {
 
 using namespace rgml;
+using obs::jsonNumber;
 using apgas::Backend;
 using apgas::Place;
 using apgas::PlaceGroup;
@@ -267,12 +268,6 @@ AckCurve ackCurve(int places, int reps) {
   return curve;
 }
 
-std::string num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -337,12 +332,12 @@ int main(int argc, char** argv) {
       << "      \"hw_threads\": " << hw << ",\n";
   for (const auto& [name, ab] : {std::pair{"finish", finish},
                                  std::pair{"gemm", gemm}}) {
-    out << "      \"" << name << "_ms_on\": " << num(ab.onMs) << ",\n"
-        << "      \"" << name << "_ms_off\": " << num(ab.offMs) << ",\n"
-        << "      \"" << name << "_ratio\": " << num(ab.ratio) << ",\n"
-        << "      \"" << name << "_ratio_q25\": " << num(ab.ratioQ25)
+    out << "      \"" << name << "_ms_on\": " << jsonNumber(ab.onMs) << ",\n"
+        << "      \"" << name << "_ms_off\": " << jsonNumber(ab.offMs) << ",\n"
+        << "      \"" << name << "_ratio\": " << jsonNumber(ab.ratio) << ",\n"
+        << "      \"" << name << "_ratio_q25\": " << jsonNumber(ab.ratioQ25)
         << ",\n"
-        << "      \"" << name << "_ratio_q75\": " << num(ab.ratioQ75)
+        << "      \"" << name << "_ratio_q75\": " << jsonNumber(ab.ratioQ75)
         << ",\n"
         << "      \"" << name << "_pairs\": " << ab.pairs << ",\n";
   }
@@ -351,13 +346,13 @@ int main(int argc, char** argv) {
     const bool ge = pt.place0P50Us >= pt.othersMaxP50Us &&
                     pt.place0P99Us >= pt.othersMaxP99Us;
     out << "      \"ack_p" << c.places
-        << ".place0_p50_us\": " << num(pt.place0P50Us) << ",\n"
+        << ".place0_p50_us\": " << jsonNumber(pt.place0P50Us) << ",\n"
         << "      \"ack_p" << c.places
-        << ".place0_p99_us\": " << num(pt.place0P99Us) << ",\n"
+        << ".place0_p99_us\": " << jsonNumber(pt.place0P99Us) << ",\n"
         << "      \"ack_p" << c.places
-        << ".others_max_p50_us\": " << num(pt.othersMaxP50Us) << ",\n"
+        << ".others_max_p50_us\": " << jsonNumber(pt.othersMaxP50Us) << ",\n"
         << "      \"ack_p" << c.places
-        << ".others_max_p99_us\": " << num(pt.othersMaxP99Us) << ",\n"
+        << ".others_max_p99_us\": " << jsonNumber(pt.othersMaxP99Us) << ",\n"
         << "      \"ack_p" << c.places << ".place0_ge_others\": "
         << (ge ? 1 : 0) << ",\n";
   }

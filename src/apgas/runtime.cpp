@@ -1,22 +1,14 @@
 #include "apgas/runtime.h"
 
-#include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <thread>
 
+#include "apgas/sim/sim_runtime.h"
 #include "apgas/threads/threads_backend.h"
 #include "obs/flight/forensic_dump.h"
 #include "obs/trace_sink.h"
 
 namespace rgml::apgas {
-
-namespace {
-/// Modelled size of a task/control envelope (headers, closure id, ...).
-constexpr std::uint64_t kEnvelopeBytes = 64;
-/// Modelled size of a resilient-finish control message.
-constexpr std::uint64_t kCtrlBytes = 48;
-}  // namespace
 
 thread_local std::unique_ptr<Runtime> Runtime::instance_;
 thread_local Runtime* Runtime::borrowed_ = nullptr;
@@ -25,23 +17,7 @@ Runtime::Runtime(const RuntimeConfig& config)
     : cm_(config.costModel),
       backendKind_(config.backend),
       resilient_(config.resilientFinish),
-      clocks_(static_cast<std::size_t>(config.numPlaces), 0.0),
-      heaps_(static_cast<std::size_t>(config.numPlaces)) {
-  hereStack_.push_back(0);
-  if (backendKind_ == Backend::Threads) {
-    engine_ = std::make_unique<threads::ThreadsBackend>(*this, config);
-  }
-}
-
-Runtime::~Runtime() = default;
-
-obs::flight::FlightRecorder* Runtime::flightRecorder() const noexcept {
-  return engine_ ? engine_->flight() : nullptr;
-}
-
-obs::flight::StallWatchdog* Runtime::stallWatchdog() const noexcept {
-  return engine_ ? engine_->watchdog() : nullptr;
-}
+      heaps_(static_cast<std::size_t>(config.numPlaces)) {}
 
 std::string Runtime::flightDump() const {
   const obs::flight::FlightRecorder* rec = flightRecorder();
@@ -54,7 +30,11 @@ void Runtime::init(const RuntimeConfig& config) {
     throw ApgasError("Runtime::init: need at least 1 place");
   }
   instance_.reset();  // tear down the old world before building the new
-  instance_.reset(new Runtime(config));
+  if (config.backend == Backend::Threads) {
+    instance_ = std::make_unique<threads::ThreadsBackend>(config);
+  } else {
+    instance_ = std::make_unique<sim::SimRuntime>(config);
+  }
 }
 
 void Runtime::init(int numPlaces, const CostModel& cm, bool resilientFinish) {
@@ -89,26 +69,6 @@ void Runtime::attach(std::unique_ptr<Runtime> world) {
 
 void Runtime::setBorrowed(Runtime* world) noexcept { borrowed_ = world; }
 
-int Runtime::numPlaces() const noexcept {
-  if (engine_) return engine_->numPlaces();
-  return static_cast<int>(clocks_.size());
-}
-
-int Runtime::numLivePlaces() const noexcept {
-  if (engine_) return engine_->numLivePlaces();
-  return numPlaces() - static_cast<int>(dead_.size());
-}
-
-bool Runtime::isDead(PlaceId p) const noexcept {
-  if (engine_) return engine_->isDead(p);
-  return dead_.contains(p);
-}
-
-Place Runtime::here() const {
-  if (engine_) return engine_->here();
-  return Place(hereStack_.back());
-}
-
 long Runtime::dispatchCount() const noexcept {
   return dispatchCount_.load(std::memory_order_relaxed);
 }
@@ -119,7 +79,8 @@ void Runtime::setDispatchHook(std::function<void(long)> hook) {
 }
 
 void Runtime::noteDispatch() {
-  const long count = dispatchCount_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const long dispatched =
+      dispatchCount_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::function<void(long)> hook;
   {
     std::lock_guard<std::mutex> lock(hookMutex_);
@@ -127,40 +88,19 @@ void Runtime::noteDispatch() {
   }
   // Invoke a copy outside the lock: the hook may disarm itself via
   // setDispatchHook({}) or kill a place (which takes other locks).
-  if (hook) hook(count);
-}
-
-double Runtime::clock(PlaceId p) const {
-  if (engine_) return engine_->now();
-  return clocks_.at(static_cast<std::size_t>(p));
-}
-
-double Runtime::time() const {
-  if (engine_) return engine_->now();
-  return clocks_.at(0);
+  if (hook) hook(dispatched);
+  count(counters_.asyncsSpawned);
 }
 
 std::vector<PlaceId> Runtime::addPlaces(int n) {
-  if (engine_) {
-    auto fresh = engine_->addPlaces(n);
+  if (n < 0) throw ApgasError("addPlaces: negative count");
+  {
+    // Grow the heap table before the engine publishes the new places, so
+    // a heap access to a place numPlaces() reports always finds its heap.
     std::lock_guard<std::mutex> lock(heapMutex_);
-    heaps_.resize(heaps_.size() + fresh.size());
-    return fresh;
+    heaps_.resize(heaps_.size() + static_cast<std::size_t>(n));
   }
-  // Joining places start "now": at the maximum clock over live places, as a
-  // real dynamically-created process would.
-  double now = 0.0;
-  for (int p = 0; p < numPlaces(); ++p) {
-    if (!isDead(p)) now = std::max(now, clocks_[static_cast<std::size_t>(p)]);
-  }
-  std::vector<PlaceId> fresh;
-  fresh.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    fresh.push_back(numPlaces());
-    clocks_.push_back(now);
-    heaps_.emplace_back();
-  }
-  return fresh;
+  return startPlaces(n);
 }
 
 void Runtime::kill(PlaceId p) {
@@ -173,19 +113,17 @@ void Runtime::kill(PlaceId p) {
   // concurrent kills interleaving (the snapshot store's replica
   // bookkeeping depends on one-at-a-time notifications).
   std::lock_guard<std::mutex> killLock(killMutex_);
-  if (engine_) {
-    if (!engine_->kill(p)) return;  // already dead
-  } else {
-    if (dead_.contains(p)) return;
-    dead_.insert(p);
-    wipeHeap(p);
-    ++stats_.placesKilled;
-    if (auto* sink = obs::TraceSink::current()) {
-      sink->instant(obs::Category::Kill, "kill", -1, static_cast<int>(p),
-                    clocks_[static_cast<std::size_t>(p)], 0,
-                    {{"victim", std::to_string(p)}});
-      sink->addMetric("runtime.places_killed");
-    }
+  if (!markDead(p)) return;  // already dead
+  // Wipe before failing the queued work: an orphaned task must not be
+  // able to complete a finish while the dead place's heap is readable.
+  wipeHeap(p);
+  failQueued(p);
+  count(counters_.placesKilled);
+  if (auto* sink = obs::TraceSink::current()) {
+    obs::TidScope tidScope(spanTid());
+    sink->instant(obs::Category::Kill, "kill", -1, static_cast<int>(p),
+                  clock(p), 0, {{"victim", std::to_string(p)}});
+    sink->addMetric("runtime.places_killed");
   }
   // Copy under the registration lock: a listener may (un)register other
   // listeners, and foreign threads may be registering concurrently.
@@ -209,282 +147,95 @@ void Runtime::removeKillListener(std::uint64_t token) {
   killListeners_.erase(token);
 }
 
-double Runtime::chargeBookkeeping(double sendTime) {
-  ++stats_.bookkeepingMsgs;
-  const double arrival = sendTime + cm_.commTime(kCtrlBytes);
-  ctrlClock_ = std::max(ctrlClock_, arrival) + cm_.resilientBookkeeping;
-  return ctrlClock_;
-}
-
-void Runtime::finish(const std::function<void()>& body) {
-  if (engine_) {
-    engine_->finish(body);
-    return;
-  }
-  ++stats_.finishes;
-  const PlaceId home = hereStack_.back();
-  clocks_[home] += cm_.finishSetup;
-  finishStack_.push_back(FinishFrame{home, clocks_[home], 0, {}, {}});
-  const std::size_t idx = finishStack_.size() - 1;
-  if (resilient_) {
-    chargeBookkeeping(clocks_[home]);  // finish registration
-  }
-  try {
-    body();
-  } catch (...) {
-    finishStack_[idx].exceptions.push_back(std::current_exception());
-  }
-  // Drain same-place tasks: they run now that the spawner has blocked at
-  // the finish. A drained task may defer further local tasks.
-  while (!finishStack_[idx].deferred.empty()) {
-    DeferredTask task = std::move(finishStack_[idx].deferred.front());
-    finishStack_[idx].deferred.erase(finishStack_[idx].deferred.begin());
-    runTask(idx, task.target, task.spawnTime, task.body);
-  }
-  FinishFrame frame = std::move(finishStack_[idx]);
-  finishStack_.pop_back();
-
-  // The home processes one termination notification per task.
-  clocks_[home] = std::max(clocks_[home], frame.maxChildEnd) +
-                  static_cast<double>(frame.tasks) * cm_.taskRecvOverhead;
-  if (resilient_) {
-    // The finish cannot complete until the place-0 control processor has
-    // drained every spawn/termination message and acknowledged completion.
-    const double before = clocks_[home];
-    const double ack = chargeBookkeeping(before);
-    const double ackLatency = home == 0 ? 0.0 : cm_.commTime(kEnvelopeBytes);
-    clocks_[home] = std::max(clocks_[home], ack + ackLatency);
-    if (auto* sink = obs::TraceSink::current()) {
-      // The ack wait is the critical-path cost of resilient finish — the
-      // quantity Figs. 2-4 and Table IV's bookkeeping column measure.
-      const double blocked = clocks_[home] - before;
-      sink->addMetric("finish.count");
-      static const std::vector<double> kAckBuckets{1e-6, 1e-5, 1e-4, 1e-3,
-                                                   1e-2, 0.1,  1.0};
-      sink->observeMetric("finish.ack_wait_seconds", kAckBuckets, blocked);
-      if (blocked > 0.0) {
-        sink->span(obs::Category::Finish, "finish.ack", -1,
-                   static_cast<int>(home), before, clocks_[home], 0,
-                   {{"tasks", std::to_string(frame.tasks)}});
-      }
-    }
-  }
-  throwCollected(frame);
-}
-
-void Runtime::throwCollected(FinishFrame& frame) {
-  if (frame.exceptions.empty()) return;
-  if (frame.exceptions.size() == 1) {
-    std::rethrow_exception(frame.exceptions.front());
-  }
-  throw MultipleExceptions(std::move(frame.exceptions));
-}
-
-void Runtime::asyncAt(Place p, const std::function<void()>& body) {
-  if (engine_) {
-    engine_->asyncAt(p, body);
-    return;
-  }
-  if (finishStack_.empty()) {
-    throw ApgasError("asyncAt outside any finish scope");
-  }
-  noteDispatch();
-
-  ++stats_.asyncsSpawned;
-  const PlaceId spawner = hereStack_.back();
-  const PlaceId target = p.id();
-  if (target < 0 || target >= numPlaces()) {
-    throw ApgasError("asyncAt: no such place");
-  }
-  // The spawner pays the local spawn bookkeeping plus, for a remote task,
-  // the serialisation/push cost — so a flat fan-out over P places costs
-  // the home O(P), as on the real socket transport.
-  clocks_[spawner] += cm_.asyncSpawn;
-  if (target != spawner) clocks_[spawner] += cm_.taskSendOverhead;
-  const double spawnTime = clocks_[spawner];
-  const std::size_t idx = finishStack_.size() - 1;
-  ++finishStack_[idx].tasks;
-
-  if (resilient_) {
-    chargeBookkeeping(spawnTime);
-  }
-
-  if (target == spawner) {
-    // Same-place task: with one worker per place it cannot run until the
-    // spawner blocks; defer to the enclosing finish boundary.
-    finishStack_[idx].deferred.push_back(
-        DeferredTask{target, spawnTime, body});
-    return;
-  }
-
-  runTask(idx, target, spawnTime + cm_.commTime(kEnvelopeBytes), body);
-}
-
-void Runtime::runTask(std::size_t idx, PlaceId target, double spawnTime,
-                      const std::function<void()>& body) {
-  if (isDead(target)) {
-    finishStack_[idx].exceptions.push_back(
-        std::make_exception_ptr(DeadPlaceException(target)));
-    return;
-  }
-
-  clocks_[target] = std::max(clocks_[target], spawnTime);
-
-  hereStack_.push_back(target);
-  try {
-    body();
-  } catch (...) {
-    finishStack_[idx].exceptions.push_back(std::current_exception());
-  }
-  hereStack_.pop_back();
-
-  if (isDead(target)) {
-    // The place died while (conceptually) running this task: its effects
-    // are gone (kill() cleared the heap) and the finish must observe the
-    // failure.
-    finishStack_[idx].exceptions.push_back(
-        std::make_exception_ptr(DeadPlaceException(target)));
-    return;
-  }
-
-  const double taskEnd = clocks_[target];
-  const PlaceId home = finishStack_[idx].home;
-  const double notify = target == home ? 0.0 : cm_.commTime(kEnvelopeBytes);
-  finishStack_[idx].maxChildEnd =
-      std::max(finishStack_[idx].maxChildEnd, taskEnd + notify);
-  if (resilient_) {
-    chargeBookkeeping(taskEnd);
+void Runtime::noteFinishAck(PlaceId home, long tasks, double before,
+                            double after) {
+  auto* sink = obs::TraceSink::current();
+  if (sink == nullptr) return;
+  obs::TidScope tidScope(spanTid());
+  // The ack wait is the critical-path cost of resilient finish — the
+  // quantity Figs. 2-4 and Table IV's bookkeeping column measure.
+  const double blocked = after - before;
+  sink->addMetric("finish.count");
+  static const std::vector<double> kAckBuckets{1e-6, 1e-5, 1e-4, 1e-3,
+                                               1e-2, 0.1,  1.0};
+  sink->observeMetric("finish.ack_wait_seconds", kAckBuckets, blocked);
+  if (blocked > 0.0) {
+    sink->span(obs::Category::Finish, "finish.ack", -1,
+               static_cast<int>(home), before, after, 0,
+               {{"tasks", std::to_string(tasks)}});
   }
 }
 
-void Runtime::at(Place p, const std::function<void()>& body) {
-  if (engine_) {
-    engine_->at(p, body);
-    return;
-  }
-  const PlaceId target = p.id();
-  if (target < 0 || target >= numPlaces()) {
-    throw ApgasError("at: no such place");
-  }
-  if (isDead(target)) throw DeadPlaceException(target);
-
-  const PlaceId origin = hereStack_.back();
-  if (target != origin) {
-    clocks_[target] = std::max(
-        clocks_[target], clocks_[origin] + cm_.commTime(kEnvelopeBytes));
-  }
-  hereStack_.push_back(target);
-  struct PopGuard {
-    std::vector<PlaceId>& stack;
-    ~PopGuard() { stack.pop_back(); }
-  } guard{hereStack_};
-  body();
-  // `guard` pops on scope exit (also on exception propagation).
-  if (isDead(target)) throw DeadPlaceException(target);
-  if (target != origin) {
-    clocks_[origin] = std::max(
-        clocks_[origin], clocks_[target] + cm_.commTime(kEnvelopeBytes));
-  }
-}
-
-void Runtime::chargeDenseFlops(double flops) {
-  if (engine_) return;  // wall time: compute costs itself
-  const PlaceId p = hereStack_.back();
-  if (isDead(p)) return;
-  clocks_[p] += cm_.denseComputeTime(flops);
-}
-
-void Runtime::chargeSparseFlops(double flops) {
-  if (engine_) return;
-  const PlaceId p = hereStack_.back();
-  if (isDead(p)) return;
-  clocks_[p] += cm_.sparseComputeTime(flops);
-}
-
-void Runtime::chargeLocalCopy(std::uint64_t bytes) {
-  if (engine_) return;
-  const PlaceId p = hereStack_.back();
-  if (isDead(p)) return;
-  clocks_[p] += cm_.copyTime(bytes);
-}
-
-void Runtime::chargeSerialization(std::uint64_t bytes) {
-  if (engine_) return;
-  const PlaceId p = hereStack_.back();
-  if (isDead(p)) return;
-  clocks_[p] += cm_.serializeTime(bytes);
+void Runtime::throwCollected(std::vector<std::exception_ptr> errors) {
+  if (errors.empty()) return;
+  if (errors.size() == 1) std::rethrow_exception(errors.front());
+  throw MultipleExceptions(std::move(errors));
 }
 
 void Runtime::chargeComm(Place to, std::uint64_t bytes) {
-  if (engine_) {
-    engine_->chargeComm(to, bytes);
-    return;
-  }
-  const PlaceId from = hereStack_.back();
+  const PlaceId from = here().id();
   if (isDead(from)) return;
   if (to.id() == from) {
     chargeLocalCopy(bytes);
     return;
   }
-  ++stats_.dataMsgs;
-  stats_.bytesSent += bytes;
   // One-sided semantics: the initiating place pays the full transfer; the
   // peer's worker does not stall (its runtime buffers the data). Ordering
   // across places is established by the enclosing finish, whose completion
   // already dominates every sender's clock.
-  const double start = clocks_[from];
-  clocks_[from] += cm_.commTime(bytes);
-  if (auto* sink = obs::TraceSink::current()) {
+  auto* sink = obs::TraceSink::current();
+  const double start = sink != nullptr ? clock(from) : 0.0;
+  advance(cm_.commTime(bytes));
+  if (sink != nullptr) {
+    obs::TidScope tidScope(spanTid());
     sink->span(obs::Category::Comms, "comm", -1, static_cast<int>(from),
-               start, clocks_[from], bytes,
-               {{"to", std::to_string(to.id())}});
-    sink->addMetric("comms.data_msgs");
-    sink->addMetric("comms.bytes_sent", bytes);
+               start, clock(from), bytes, {{"to", std::to_string(to.id())}});
   }
+  countDataMsg(sink, bytes);
 }
 
 void Runtime::noteDataTransfer(std::uint64_t bytes) {
-  if (engine_) {
-    engine_->noteDataTransfer(bytes);
-    return;
-  }
-  ++stats_.dataMsgs;
-  stats_.bytesSent += bytes;
-  if (auto* sink = obs::TraceSink::current()) {
+  auto* sink = obs::TraceSink::current();
+  if (sink != nullptr) {
     // Collective payloads whose critical-path time is modelled elsewhere
     // (tree broadcast): account the bytes at the current place's clock
     // without a duration.
+    obs::TidScope tidScope(spanTid());
+    const PlaceId p = here().id();
     sink->instant(obs::Category::Comms, "data-transfer", -1,
-                  static_cast<int>(hereStack_.back()),
-                  clocks_[static_cast<std::size_t>(hereStack_.back())],
-                  bytes);
-    sink->addMetric("comms.data_msgs");
-    sink->addMetric("comms.bytes_sent", bytes);
+                  static_cast<int>(p), clock(p), bytes);
   }
+  countDataMsg(sink, bytes);
 }
 
-void Runtime::advance(double seconds) {
-  if (engine_) return;  // wall time advances itself
-  const PlaceId p = hereStack_.back();
-  if (isDead(p)) return;
-  clocks_[p] += seconds;
+void Runtime::countDataMsg(obs::TraceSink* sink, std::uint64_t bytes) {
+  counters_.dataMsgs.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytesSent.fetch_add(bytes, std::memory_order_relaxed);
+  if (sink == nullptr) return;
+  sink->addMetric("comms.data_msgs");
+  sink->addMetric("comms.bytes_sent", bytes);
 }
 
 RuntimeStats Runtime::stats() const noexcept {
-  // Returned by value: foreign threads may call this concurrently (see the
-  // threading contract in runtime.h), so the engine snapshot must not pass
-  // through shared mutable state.
-  if (engine_) {
-    RuntimeStats snap;
-    engine_->snapshotStats(snap);
-    return snap;
-  }
-  return stats_;
+  constexpr auto relaxed = std::memory_order_relaxed;
+  RuntimeStats s;
+  s.asyncsSpawned = counters_.asyncsSpawned.load(relaxed);
+  s.finishes = counters_.finishes.load(relaxed);
+  s.bookkeepingMsgs = counters_.bookkeepingMsgs.load(relaxed);
+  s.dataMsgs = counters_.dataMsgs.load(relaxed);
+  s.bytesSent = counters_.bytesSent.load(relaxed);
+  s.placesKilled = counters_.placesKilled.load(relaxed);
+  return s;
 }
 
 void Runtime::resetStats() {
-  stats_ = RuntimeStats{};
-  if (engine_) engine_->resetStats();
+  constexpr auto relaxed = std::memory_order_relaxed;
+  counters_.asyncsSpawned.store(0, relaxed);
+  counters_.finishes.store(0, relaxed);
+  counters_.bookkeepingMsgs.store(0, relaxed);
+  counters_.dataMsgs.store(0, relaxed);
+  counters_.bytesSent.store(0, relaxed);
+  counters_.placesKilled.store(0, relaxed);
 }
 
 void Runtime::wipeHeap(PlaceId p) {

@@ -1,19 +1,30 @@
-// The APGAS runtime facade: places, async/finish/at, time, resilient
-// finish bookkeeping, place failure, and per-place heaps — over one of
-// two interchangeable execution backends (RuntimeConfig::backend):
+// The APGAS runtime: places, async/finish/at, time, resilient finish
+// bookkeeping, place failure, and per-place heaps. Runtime is the engine
+// interface; Runtime::init builds one of two engines from
+// RuntimeConfig::backend:
 //
-//   * Simulated (default): one host thread runs every place on virtual
-//     clocks. Deterministic; the golden oracle for every chaos scenario.
-//   * Threads: each place is a dedicated worker thread with a real MPSC
-//     message inbox, real finish termination detection, and wall-clock
-//     time (src/apgas/threads/threads_backend.h).
+//   * sim::SimRuntime (Simulated, the default; src/apgas/sim/): one host
+//     thread runs every place on virtual clocks. Deterministic; the golden
+//     oracle for every chaos scenario.
+//   * threads::ThreadsBackend (Threads; src/apgas/threads/): each place is
+//     a dedicated worker thread with a real MPSC message inbox, real
+//     finish termination detection, and wall-clock time.
+//
+// An engine implements the virtual methods below: the task model
+// (finish/asyncAt/at/here), topology (numPlaces/numLivePlaces/isDead and
+// the startPlaces/markDead/failQueued hooks) and time (clock/advance).
+// Everything the engines share is written once, here: the world
+// registry, heaps, kill listeners and the kill fan-out, the dispatch
+// hook, the stats counters, and the trace accounting for kills, comms,
+// data transfers and resilient-finish acks. A new engine is one more
+// subclass and never keeps its own stats, kill or comm accounting.
 //
 // -------------------------------------------------------------------------
 // Substitution note (see DESIGN.md §2)
 //
 // The paper runs on the X10 runtime: real OS processes ("places"), real
 // sockets, and a resilient `finish` implementation whose bookkeeping
-// messages funnel through place 0. The simulated backend substitutes a
+// messages funnel through place 0. The simulated engine substitutes a
 // deterministic in-process simulation:
 //
 //   * Places are logical entities with private heaps (Runtime owns a
@@ -32,7 +43,7 @@
 //     bookkeeping message that serialises on place 0's clock — the exact
 //     mechanism the paper blames for the resilient-finish overhead.
 //
-// The Threads backend replaces the clocks with wall time and the
+// The Threads engine replaces the clocks with wall time and the
 // depth-first schedule with true parallel execution, but keeps the same
 // observable semantics (stats counters, exception classification, heap
 // contents); backend_equivalence_test holds the two to that contract.
@@ -41,12 +52,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "apgas/cost_model.h"
@@ -55,16 +66,16 @@
 #include "apgas/place_group.h"
 #include "apgas/runtime_config.h"
 
+namespace rgml::obs {
+class TraceSink;
+}
+
 namespace rgml::obs::flight {
 class FlightRecorder;
 class StallWatchdog;
 }  // namespace rgml::obs::flight
 
 namespace rgml::apgas {
-
-namespace threads {
-class ThreadsBackend;
-}
 
 /// Aggregate counters for one run; used by tests (to assert message
 /// complexity) and by the benchmark harness (ablation data). Identical
@@ -81,9 +92,9 @@ struct RuntimeStats {
 
 class Runtime {
  public:
-  /// (Re)initialise the calling thread's world from `config`. Destroys
-  /// the thread's previous world; every test and benchmark starts with an
-  /// init() call.
+  /// (Re)initialise the calling thread's world from `config`: the one
+  /// place that picks an engine. Destroys the thread's previous world;
+  /// every test and benchmark starts with an init() call.
   ///
   /// Worlds are thread-local: each OS thread owns a private world
   /// (places, heaps, clocks, stats, kill listeners) with zero sharing
@@ -113,7 +124,9 @@ class Runtime {
   /// one; null clears the slot).
   static void attach(std::unique_ptr<Runtime> world);
 
-  ~Runtime();
+  virtual ~Runtime() = default;
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   /// Which engine executes this world.
   [[nodiscard]] Backend backend() const noexcept { return backendKind_; }
@@ -122,9 +135,14 @@ class Runtime {
   /// The Threads engine's always-on flight recorder / stall watchdog.
   /// Null on the simulated backend (which is deterministic and offers
   /// nothing to record) or when RuntimeConfig::flightRecorder is off.
-  [[nodiscard]] obs::flight::FlightRecorder* flightRecorder()
-      const noexcept;
-  [[nodiscard]] obs::flight::StallWatchdog* stallWatchdog() const noexcept;
+  [[nodiscard]] virtual obs::flight::FlightRecorder* flightRecorder()
+      const noexcept {
+    return nullptr;
+  }
+  [[nodiscard]] virtual obs::flight::StallWatchdog* stallWatchdog()
+      const noexcept {
+    return nullptr;
+  }
 
   /// Forensic bundle (the obs/flight/forensic_dump.h JSON document:
   /// last-N events per thread, queue-depth series, watchdog verdicts).
@@ -133,12 +151,12 @@ class Runtime {
 
   // ---- topology -------------------------------------------------------
   /// Total places ever created (live + dead); ids are 0..numPlaces()-1.
-  [[nodiscard]] int numPlaces() const noexcept;
+  [[nodiscard]] virtual int numPlaces() const noexcept = 0;
 
   /// Number of currently live places.
-  [[nodiscard]] int numLivePlaces() const noexcept;
+  [[nodiscard]] virtual int numLivePlaces() const noexcept = 0;
 
-  [[nodiscard]] bool isDead(PlaceId p) const noexcept;
+  [[nodiscard]] virtual bool isDead(PlaceId p) const noexcept = 0;
 
   /// Elastic X10: create `n` fresh places, returning their ids. A new
   /// place's clock starts at the current global maximum (it "joins now");
@@ -147,8 +165,9 @@ class Runtime {
   std::vector<PlaceId> addPlaces(int n);
 
   // ---- failure injection ----------------------------------------------
-  /// Kill place `p` immediately: marks it dead, destroys its heap, freezes
-  /// its clock (poisons its inbox on the Threads backend), and notifies
+  /// Kill place `p` immediately: marks it dead, destroys its heap, fails
+  /// whatever the engine had queued for it (the Threads backend poisons
+  /// its inbox; a simulated place's clock simply freezes), and notifies
   /// kill listeners (e.g. snapshot stores, which must drop the copies that
   /// place held). Killing place 0 throws ApgasError: the paper's model
   /// assumes place zero is immortal. Thread-safe: concurrent kills
@@ -174,7 +193,7 @@ class Runtime {
 
   // ---- task model -------------------------------------------------------
   /// The place the current task is executing on.
-  [[nodiscard]] Place here() const;
+  [[nodiscard]] virtual Place here() const = 0;
 
   /// Runs `body`, waiting for all transitively spawned tasks. Rethrows a
   /// single collected exception as-is; aggregates several into
@@ -182,20 +201,20 @@ class Runtime {
   /// protocol (finish registration, per-task spawn/termination messages,
   /// final completion ack) — simulated on place 0's control clock, or as
   /// real messages through the Threads backend's control thread.
-  void finish(const std::function<void()>& body);
+  virtual void finish(const std::function<void()>& body) = 0;
 
   /// Spawns `body` as a task on place `p` within the innermost finish. If
   /// `p` is dead, records a DeadPlaceException in the finish instead of
   /// running. If `p` dies while the body runs, the body's effects on p's
   /// heap are destroyed and a DeadPlaceException is recorded.
-  void asyncAt(Place p, const std::function<void()>& body);
+  virtual void asyncAt(Place p, const std::function<void()>& body) = 0;
 
   /// Local async: asyncAt(here()).
   void async(const std::function<void()>& body) { asyncAt(here(), body); }
 
   /// Synchronous place shift: runs `body` at `p`, blocking the current
   /// task. Throws DeadPlaceException immediately if `p` is dead.
-  void at(Place p, const std::function<void()>& body);
+  virtual void at(Place p, const std::function<void()>& body) = 0;
 
   /// Synchronous place shift with a result.
   template <typename T>
@@ -208,20 +227,31 @@ class Runtime {
   // ---- time -------------------------------------------------------------
   /// Simulated backend: place p's virtual clock. Threads backend: wall
   /// seconds since world construction (one global clock).
-  [[nodiscard]] double clock(PlaceId p) const;
+  [[nodiscard]] virtual double clock(PlaceId p) const = 0;
 
   /// Time as observed by the main task's home (place 0): virtual seconds
   /// (simulated) or wall seconds since construction (Threads).
-  [[nodiscard]] double time() const;
+  [[nodiscard]] double time() const { return clock(0); }
+
+  /// Explicitly advance the current place's clock (tests, custom costs).
+  /// No-op on the Threads backend: wall time advances itself. Every
+  /// charge below is an advance by its CostModel time.
+  virtual void advance(double seconds) = 0;
 
   /// Charge dense compute work to the current place's clock.
-  void chargeDenseFlops(double flops);
+  void chargeDenseFlops(double flops) {
+    advance(cm_.denseComputeTime(flops));
+  }
   /// Charge sparse compute work to the current place's clock.
-  void chargeSparseFlops(double flops);
+  void chargeSparseFlops(double flops) {
+    advance(cm_.sparseComputeTime(flops));
+  }
   /// Charge a local memory copy to the current place's clock.
-  void chargeLocalCopy(std::uint64_t bytes);
+  void chargeLocalCopy(std::uint64_t bytes) { advance(cm_.copyTime(bytes)); }
   /// Charge a snapshot serialisation/deep copy to the current place.
-  void chargeSerialization(std::uint64_t bytes);
+  void chargeSerialization(std::uint64_t bytes) {
+    advance(cm_.serializeTime(bytes));
+  }
   /// Charge a data message of `bytes` from the current place to `to`
   /// (advances the *current* place's clock by the full transfer time;
   /// callers model synchronous pulls/pushes). On the Threads backend no
@@ -233,9 +263,6 @@ class Runtime {
   /// (e.g. the binomial tree broadcast) but must still account every
   /// payload transfer exactly once.
   void noteDataTransfer(std::uint64_t bytes);
-  /// Explicitly advance the current place's clock (tests, custom costs).
-  /// No-op on the Threads backend: wall time advances itself.
-  void advance(double seconds);
 
   [[nodiscard]] const CostModel& costModel() const noexcept { return cm_; }
   [[nodiscard]] bool resilientFinish() const noexcept { return resilient_; }
@@ -251,7 +278,7 @@ class Runtime {
   /// never be inflated by a predecessor (world_isolation_test guards
   /// this).
   /// Returned by value so concurrent readers never share a snapshot
-  /// buffer (engine worlds aggregate their atomic counters on each call).
+  /// buffer (the counters are atomics that foreign threads may read).
   [[nodiscard]] RuntimeStats stats() const noexcept;
   void resetStats();
 
@@ -266,65 +293,67 @@ class Runtime {
   /// Erase `key` from every place's heap (PlaceLocalHandle::destroy).
   void heapEraseAll(std::uint64_t key);
 
- private:
-  friend class threads::ThreadsBackend;
-
+ protected:
   explicit Runtime(const RuntimeConfig& config);
 
-  /// A same-place async: with one worker thread per place (the paper runs
-  /// X10_NTHREADS=1), it only runs once the spawning task blocks at the
-  /// enclosing finish, so its execution is deferred to the finish boundary.
-  struct DeferredTask {
-    PlaceId target = 0;
-    double spawnTime = 0.0;
-    std::function<void()> body;
+  // ---- engine hooks -----------------------------------------------------
+  /// Create `n` places numbered from numPlaces() and return their ids.
+  /// addPlaces has already grown the heap table for them.
+  virtual std::vector<PlaceId> startPlaces(int n) = 0;
+  /// First step of kill(p), under the kill lock: mark p dead. Returns
+  /// false if it already was.
+  virtual bool markDead(PlaceId p) = 0;
+  /// Step after the heap wipe: fail the work the engine has queued for
+  /// p. The simulator queues nothing.
+  virtual void failQueued(PlaceId /*p*/) {}
+  /// The tag the shared trace accounting stamps on its spans: -1 (the
+  /// simulator's, stable across machines) or the emitting OS thread's.
+  [[nodiscard]] virtual int spanTid() const noexcept { return -1; }
+
+  // ---- shared accounting for the engines --------------------------------
+  /// The RuntimeStats counters, relaxed atomics: foreign threads read
+  /// them while place threads count. Engines count finishes and
+  /// bookkeeping messages; everything else is counted here.
+  struct Counters {
+    std::atomic<long> asyncsSpawned{0};
+    std::atomic<long> finishes{0};
+    std::atomic<long> bookkeepingMsgs{0};
+    std::atomic<long> dataMsgs{0};
+    std::atomic<std::uint64_t> bytesSent{0};
+    std::atomic<long> placesKilled{0};
   };
+  static void count(std::atomic<long>& counter) noexcept {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counters counters_;
 
-  struct FinishFrame {
-    PlaceId home = 0;
-    double maxChildEnd = 0.0;  ///< latest task end (+notification latency)
-    long tasks = 0;            ///< tasks spawned under this finish
-    std::vector<DeferredTask> deferred;
-    std::vector<std::exception_ptr> exceptions;
-  };
-
-  /// Run one task body at `target` with start time `spawnTime`, recording
-  /// its completion (or failure) in frame `idx`. Shared by asyncAt (remote
-  /// tasks, run eagerly) and the finish boundary (deferred local tasks).
-  void runTask(std::size_t idx, PlaceId target, double spawnTime,
-               const std::function<void()>& body);
-
-  /// Charge one resilient bookkeeping message sent at `sendTime`. Control
-  /// messages serialise on place 0's *control processor* clock (ctrlClock_)
-  /// — a separate logical processor from the place-0 worker, as in the
-  /// real runtime where the communication thread handles finish
-  /// bookkeeping. Returns the control clock after processing; the finish
-  /// completion ack couples it back into the application's clock.
-  double chargeBookkeeping(double sendTime);
-
-  void throwCollected(FinishFrame& frame);
-
-  /// Count one asyncAt dispatch and invoke the dispatch hook (a copy, so
-  /// the hook may disarm itself). Shared by both backends' asyncAt.
+  /// Count one asyncAt dispatch, invoke the dispatch hook (a copy, so the
+  /// hook may disarm itself), then count the spawned task. Every engine's
+  /// asyncAt calls this first.
   void noteDispatch();
 
-  /// Destroy place p's heap (kill path; locked when the engine runs).
-  void wipeHeap(PlaceId p);
+  /// Trace one closed resilient finish whose place-0 ack kept `home`
+  /// blocked from `before` to `after`: the finish.count and
+  /// finish.ack_wait_seconds metrics and the finish.ack span.
+  void noteFinishAck(PlaceId home, long tasks, double before, double after);
+
+  /// Rethrow a finish's collected exceptions: one as-is, several as
+  /// MultipleExceptions, none not at all.
+  static void throwCollected(std::vector<std::exception_ptr> errors);
 
   /// Engine worker threads resolve Runtime::world() through this.
   static void setBorrowed(Runtime* world) noexcept;
 
+ private:
+  /// Destroy place p's heap (kill path).
+  void wipeHeap(PlaceId p);
+  /// Count one data message of `bytes`, in the stats and, if `sink` is
+  /// non-null, in its comms metrics.
+  void countDataMsg(obs::TraceSink* sink, std::uint64_t bytes);
+
   CostModel cm_;
   Backend backendKind_ = Backend::Simulated;
   bool resilient_ = false;
-  double ctrlClock_ = 0.0;  ///< place-0 bookkeeping processor (resilient)
-  std::vector<double> clocks_;
-  std::unordered_set<PlaceId> dead_;
-  std::vector<PlaceId> hereStack_;
-  std::vector<FinishFrame> finishStack_;
-  /// Simulator-path counters; engine worlds keep their own atomics and
-  /// stats() snapshots those into a local instead.
-  RuntimeStats stats_;
 
   std::atomic<std::uint64_t> nextHandle_{1};
   /// Guards heaps_ structure and entries; only contended on the Threads
@@ -344,11 +373,6 @@ class Runtime {
 
   static thread_local std::unique_ptr<Runtime> instance_;
   static thread_local Runtime* borrowed_;
-
-  /// Present iff backendKind_ == Backend::Threads. Declared last so it is
-  /// destroyed first: the destructor joins the place workers, which may
-  /// still touch the members above until then.
-  std::unique_ptr<threads::ThreadsBackend> engine_;
 };
 
 /// RAII scope for a thread-local world: parks the calling thread's

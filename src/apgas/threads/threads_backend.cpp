@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "apgas/runtime.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/flight/stall_watchdog.h"
 #include "obs/trace_sink.h"
@@ -40,8 +39,8 @@ ThreadsBackend::ThreadCtx& ThreadsBackend::ctx() const {
   return tls;
 }
 
-ThreadsBackend::ThreadsBackend(Runtime& rt, const RuntimeConfig& config)
-    : rt_(rt),
+ThreadsBackend::ThreadsBackend(const RuntimeConfig& config)
+    : Runtime(config),
       engineId_(nextEngineId.fetch_add(1, std::memory_order_relaxed)),
       t0_(std::chrono::steady_clock::now()) {
   const int numPlaces = config.numPlaces;
@@ -131,12 +130,14 @@ bool ThreadsBackend::isDead(PlaceId p) const noexcept {
 
 Place ThreadsBackend::here() const { return Place(ctx().place); }
 
+int ThreadsBackend::spanTid() const noexcept { return obs::osThreadTag(); }
+
 double ThreadsBackend::now() const noexcept {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
       .count();
 }
 
-std::vector<PlaceId> ThreadsBackend::addPlaces(int n) {
+std::vector<PlaceId> ThreadsBackend::startPlaces(int n) {
   std::vector<PlaceId> fresh;
   fresh.reserve(static_cast<std::size_t>(n));
   {
@@ -277,7 +278,7 @@ void ThreadsBackend::execute(TaskMsg& msg) {
       std::lock_guard<std::mutex> lock(msg.fs->mu);
       msg.fs->errors.push_back(
           std::make_exception_ptr(DeadPlaceException(msg.target)));
-    } else if (rt_.resilientFinish()) {
+    } else if (resilientFinish()) {
       ctrlSend(CtrlMsg::Terminate);  // task termination bookkeeping
     }
   }
@@ -351,10 +352,10 @@ void ThreadsBackend::waitAt(AtState& st, Inbox& own) {
 
 void ThreadsBackend::finish(const std::function<void()>& body) {
   ThreadCtx& c = ctx();
-  stats_.finishes.fetch_add(1, std::memory_order_relaxed);
+  count(counters_.finishes);
   auto fs = std::make_shared<FinishState>();
   fs->home = c.place;
-  const bool resilient = rt_.resilientFinish();
+  const bool resilient = resilientFinish();
   if (resilient) ctrlSend(CtrlMsg::Register);  // finish registration
   c.finishStack.push_back(fs);
   try {
@@ -404,32 +405,14 @@ void ThreadsBackend::finish(const std::function<void()>& body) {
                   static_cast<int>(fs->home), tasks, after - closeBegin,
                   after);
     }
-    if (auto* sink = obs::TraceSink::current()) {
-      obs::TidScope tidScope(obs::osThreadTag());
-      const double blocked = after - before;
-      sink->addMetric("finish.count");
-      static const std::vector<double> kAckBuckets{1e-6, 1e-5, 1e-4, 1e-3,
-                                                   1e-2, 0.1,  1.0};
-      sink->observeMetric("finish.ack_wait_seconds", kAckBuckets, blocked);
-      if (blocked > 0.0) {
-        sink->span(obs::Category::Finish, "finish.ack", -1,
-                   static_cast<int>(fs->home), before, after, 0,
-                   {{"tasks", std::to_string(tasks)}});
-      }
-    }
+    noteFinishAck(fs->home, tasks, before, after);
   }
-  throwCollected(*fs);
-}
-
-void ThreadsBackend::throwCollected(FinishState& fs) {
   std::vector<std::exception_ptr> errors;
   {
-    std::lock_guard<std::mutex> lock(fs.mu);
-    errors = std::move(fs.errors);
+    std::lock_guard<std::mutex> lock(fs->mu);
+    errors = std::move(fs->errors);
   }
-  if (errors.empty()) return;
-  if (errors.size() == 1) std::rethrow_exception(errors.front());
-  throw MultipleExceptions(std::move(errors));
+  throwCollected(std::move(errors));
 }
 
 void ThreadsBackend::asyncAt(Place p, const std::function<void()>& body) {
@@ -437,9 +420,8 @@ void ThreadsBackend::asyncAt(Place p, const std::function<void()>& body) {
   if (c.finishStack.empty() || !c.finishStack.back()) {
     throw ApgasError("asyncAt outside any finish scope");
   }
-  rt_.noteDispatch();
+  noteDispatch();
 
-  stats_.asyncsSpawned.fetch_add(1, std::memory_order_relaxed);
   const PlaceId target = p.id();
   if (target < 0 || target >= numPlaces()) {
     throw ApgasError("asyncAt: no such place");
@@ -450,7 +432,7 @@ void ThreadsBackend::asyncAt(Place p, const std::function<void()>& body) {
     ++fs->tasks;
     ++fs->pending;
   }
-  if (rt_.resilientFinish()) {
+  if (resilientFinish()) {
     // Spawn bookkeeping is sent before the dead check, exactly as the
     // simulator charges it — the message is in flight either way.
     ctrlSend(CtrlMsg::Spawn);
@@ -503,7 +485,7 @@ void ThreadsBackend::at(Place p, const std::function<void()>& body) {
 
 // ---- failure --------------------------------------------------------------
 
-bool ThreadsBackend::kill(PlaceId p) {
+bool ThreadsBackend::markDead(PlaceId p) {
   PlaceState& ps = place(p);
   if (ps.dead.exchange(true, std::memory_order_acq_rel)) return false;
   // Kill events land in the *calling* thread's lane (kill() is legal
@@ -512,17 +494,14 @@ bool ThreadsBackend::kill(PlaceId p) {
     flightEvent(obs::flight::EventKind::Kill, static_cast<int>(p), 0, 0.0,
                 now());
   }
-  rt_.wipeHeap(p);
-  if (flight_) {
+  return true;
+}
+
+void ThreadsBackend::failQueued(PlaceId p) {
+  PlaceState& ps = place(p);
+  if (flight_) {  // Runtime::kill has just wiped p's heap
     flightEvent(obs::flight::EventKind::HeapWipe, static_cast<int>(p), 0,
                 0.0, now());
-  }
-  stats_.placesKilled.fetch_add(1, std::memory_order_relaxed);
-  if (auto* sink = obs::TraceSink::current()) {
-    obs::TidScope tidScope(obs::osThreadTag());
-    sink->instant(obs::Category::Kill, "kill", -1, static_cast<int>(p),
-                  now(), 0, {{"victim", std::to_string(p)}});
-    sink->addMetric("runtime.places_killed");
   }
   // Poison and drain the inbox: queued work completes exceptionally with
   // DeadPlaceException (GASPI-style failure notification — senders learn
@@ -556,56 +535,6 @@ bool ThreadsBackend::kill(PlaceId p) {
       taskDone(*msg.fs, place(msg.fs->home).inbox);
     }
   }
-  return true;
-}
-
-// ---- accounting -----------------------------------------------------------
-
-void ThreadsBackend::chargeComm(Place to, std::uint64_t bytes) {
-  ThreadCtx& c = ctx();
-  if (isDead(c.place)) return;
-  if (to.id() == c.place) return;  // local copy: no message
-  stats_.dataMsgs.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytesSent.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* sink = obs::TraceSink::current()) {
-    obs::TidScope tidScope(obs::osThreadTag());
-    const double t = now();
-    sink->span(obs::Category::Comms, "comm", -1, static_cast<int>(c.place),
-               t, t, bytes, {{"to", std::to_string(to.id())}});
-    sink->addMetric("comms.data_msgs");
-    sink->addMetric("comms.bytes_sent", bytes);
-  }
-}
-
-void ThreadsBackend::noteDataTransfer(std::uint64_t bytes) {
-  stats_.dataMsgs.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytesSent.fetch_add(bytes, std::memory_order_relaxed);
-  if (auto* sink = obs::TraceSink::current()) {
-    obs::TidScope tidScope(obs::osThreadTag());
-    sink->instant(obs::Category::Comms, "data-transfer", -1,
-                  static_cast<int>(ctx().place), now(), bytes);
-    sink->addMetric("comms.data_msgs");
-    sink->addMetric("comms.bytes_sent", bytes);
-  }
-}
-
-void ThreadsBackend::snapshotStats(RuntimeStats& out) const {
-  out.asyncsSpawned = stats_.asyncsSpawned.load(std::memory_order_relaxed);
-  out.finishes = stats_.finishes.load(std::memory_order_relaxed);
-  out.bookkeepingMsgs =
-      stats_.bookkeepingMsgs.load(std::memory_order_relaxed);
-  out.dataMsgs = stats_.dataMsgs.load(std::memory_order_relaxed);
-  out.bytesSent = stats_.bytesSent.load(std::memory_order_relaxed);
-  out.placesKilled = stats_.placesKilled.load(std::memory_order_relaxed);
-}
-
-void ThreadsBackend::resetStats() {
-  stats_.asyncsSpawned.store(0, std::memory_order_relaxed);
-  stats_.finishes.store(0, std::memory_order_relaxed);
-  stats_.bookkeepingMsgs.store(0, std::memory_order_relaxed);
-  stats_.dataMsgs.store(0, std::memory_order_relaxed);
-  stats_.bytesSent.store(0, std::memory_order_relaxed);
-  stats_.placesKilled.store(0, std::memory_order_relaxed);
 }
 
 // ---- threads --------------------------------------------------------------
@@ -644,7 +573,7 @@ void ThreadsBackend::ctrlLoop() {
 }
 
 void ThreadsBackend::ctrlSend(CtrlMsg::Kind kind, AckWaiter* waiter) {
-  stats_.bookkeepingMsgs.fetch_add(1, std::memory_order_relaxed);
+  count(counters_.bookkeepingMsgs);
   CtrlMsg msg{kind, waiter};
   {
     std::lock_guard<std::mutex> lock(ctrlMu_);
@@ -657,7 +586,7 @@ void ThreadsBackend::ctrlSend(CtrlMsg::Kind kind, AckWaiter* waiter) {
 void ThreadsBackend::workerLoop(PlaceId p) {
   // Application code on this thread resolves Runtime::world() to the
   // world that owns this engine.
-  Runtime::setBorrowed(&rt_);
+  setBorrowed(this);
   ThreadCtx& c = ctx();
   c.place = p;
   obs::TidScope tidScope(obs::osThreadTag());
@@ -685,7 +614,7 @@ void ThreadsBackend::workerLoop(PlaceId p) {
     }
     drainOne(in);
   }
-  Runtime::setBorrowed(nullptr);
+  setBorrowed(nullptr);
 }
 
 }  // namespace rgml::apgas::threads

@@ -1,7 +1,7 @@
-// The real-threads APGAS backend (RuntimeConfig::backend == Threads).
+// The real-threads APGAS engine (RuntimeConfig::backend == Threads).
 //
-// Where the simulated backend (src/apgas/runtime.cpp) runs every place on
-// one host thread with virtual clocks, this engine gives each place a
+// Where the simulated engine (src/apgas/sim/) runs every place on one
+// host thread with virtual clocks, this engine gives each place a
 // dedicated OS worker thread and a real MPSC inbox of serialized
 // closures, modelled on GASPI-style async one-sided communication with
 // explicit failure notification:
@@ -22,8 +22,12 @@
 //     bottleneck, now measured in wall-clock (finish.ack_wait_seconds).
 //   * kill(p) = mark dead, wipe the heap, then poison-and-drain p's
 //     inbox: queued tasks complete exceptionally with DeadPlaceException
-//     and p's worker exits. Failure notification fans out to registered
-//     kill listeners via Runtime::kill.
+//     and p's worker exits. Runtime::kill drives those steps and fans the
+//     failure out to registered kill listeners.
+//
+// Like every engine it subclasses Runtime, which keeps the heaps, stats
+// counters and the kill/comm/finish-ack trace accounting; this file holds
+// only what is particular to threads.
 //
 // Time is wall-clock (seconds since world construction) and spans carry
 // real OS thread tags; nothing about timing is deterministic. Everything
@@ -49,76 +53,58 @@
 #include <thread>
 #include <vector>
 
-#include "apgas/place.h"
-#include "apgas/runtime_config.h"
-
-namespace rgml::obs {
-class TraceSink;
-}
+#include "apgas/runtime.h"
 
 namespace rgml::obs::flight {
-class FlightRecorder;
-class StallWatchdog;
 enum class EventKind : int;
 }  // namespace rgml::obs::flight
 
-namespace rgml::apgas {
-class Runtime;
-struct RuntimeStats;
-}  // namespace rgml::apgas
-
 namespace rgml::apgas::threads {
 
-class ThreadsBackend {
+class ThreadsBackend final : public Runtime {
  public:
   /// Spawns worker threads for places 1..numPlaces-1 (the constructing
   /// thread serves place 0) plus the control thread — and, unless
   /// config.flightRecorder is off, the always-on flight recorder with
   /// its stall-watchdog sampler thread.
-  ThreadsBackend(Runtime& rt, const RuntimeConfig& config);
-  ~ThreadsBackend();
+  explicit ThreadsBackend(const RuntimeConfig& config);
+  ~ThreadsBackend() override;
 
   ThreadsBackend(const ThreadsBackend&) = delete;
   ThreadsBackend& operator=(const ThreadsBackend&) = delete;
 
-  // ---- topology / time ------------------------------------------------
-  [[nodiscard]] int numPlaces() const noexcept {
-    return numPlaces_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] int numLivePlaces() const noexcept;
-  [[nodiscard]] bool isDead(PlaceId p) const noexcept;
-  [[nodiscard]] Place here() const;
-  /// Wall-clock seconds since world construction.
-  [[nodiscard]] double now() const noexcept;
-  std::vector<PlaceId> addPlaces(int n);
-
-  // ---- task model -----------------------------------------------------
-  void finish(const std::function<void()>& body);
-  void asyncAt(Place p, const std::function<void()>& body);
-  void at(Place p, const std::function<void()>& body);
-
-  /// Marks p dead, wipes its heap, poisons its inbox (queued tasks fail
-  /// with DeadPlaceException) and lets its worker exit. Returns false if
-  /// p was already dead. Listener fanout is Runtime::kill's job.
-  bool kill(PlaceId p);
-
-  // ---- accounting -----------------------------------------------------
-  void chargeComm(Place to, std::uint64_t bytes);
-  void noteDataTransfer(std::uint64_t bytes);
-  void snapshotStats(RuntimeStats& out) const;
-  void resetStats();
-
-  // ---- observability --------------------------------------------------
-  /// The always-on flight recorder / stall watchdog (null when disabled
-  /// via RuntimeConfig::flightRecorder = false).
-  [[nodiscard]] obs::flight::FlightRecorder* flight() const noexcept {
+  [[nodiscard]] obs::flight::FlightRecorder* flightRecorder()
+      const noexcept override {
     return flight_.get();
   }
-  [[nodiscard]] obs::flight::StallWatchdog* watchdog() const noexcept {
+  [[nodiscard]] obs::flight::StallWatchdog* stallWatchdog()
+      const noexcept override {
     return watchdog_.get();
   }
 
+  [[nodiscard]] int numPlaces() const noexcept override {
+    return numPlaces_.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] int numLivePlaces() const noexcept override;
+  [[nodiscard]] bool isDead(PlaceId p) const noexcept override;
+  [[nodiscard]] Place here() const override;
+
+  void finish(const std::function<void()>& body) override;
+  void asyncAt(Place p, const std::function<void()>& body) override;
+  void at(Place p, const std::function<void()>& body) override;
+
+  /// Wall-clock seconds since world construction, for every place.
+  [[nodiscard]] double clock(PlaceId /*p*/) const override { return now(); }
+  void advance(double /*seconds*/) override {}  // wall time advances itself
+
  private:
+  std::vector<PlaceId> startPlaces(int n) override;
+  bool markDead(PlaceId p) override;
+  /// Poisons p's inbox: queued tasks fail with DeadPlaceException and
+  /// p's worker exits.
+  void failQueued(PlaceId p) override;
+  [[nodiscard]] int spanTid() const noexcept override;
+
   struct FinishState {
     PlaceId home = 0;
     std::mutex mu;
@@ -171,17 +157,10 @@ class ThreadsBackend {
     AckWaiter* waiter = nullptr;
   };
 
-  struct AtomicStats {
-    std::atomic<long> asyncsSpawned{0};
-    std::atomic<long> finishes{0};
-    std::atomic<long> bookkeepingMsgs{0};
-    std::atomic<long> dataMsgs{0};
-    std::atomic<long> placesKilled{0};
-    std::atomic<std::uint64_t> bytesSent{0};
-  };
-
   struct ThreadCtx;
   [[nodiscard]] ThreadCtx& ctx() const;
+  /// Wall-clock seconds since world construction.
+  [[nodiscard]] double now() const noexcept;
 
   [[nodiscard]] PlaceState& place(PlaceId p) const;
   /// Enqueue into p's inbox; false if p is dead/poisoned.
@@ -195,7 +174,6 @@ class ThreadsBackend {
   void waitFinish(FinishState& fs, Inbox& own);
   /// Drain own inbox until the at() shift completes.
   void waitAt(AtState& st, Inbox& own);
-  static void throwCollected(FinishState& fs);
 
   void ctrlSend(CtrlMsg::Kind kind, AckWaiter* waiter = nullptr);
   void ctrlLoop();
@@ -209,7 +187,6 @@ class ThreadsBackend {
   void flightEvent(obs::flight::EventKind kind, int queue, long depth,
                    double value, double t) const;
 
-  Runtime& rt_;
   const std::uint64_t engineId_;
   const std::chrono::steady_clock::time_point t0_;
   std::atomic<int> numPlaces_{0};
@@ -217,7 +194,6 @@ class ThreadsBackend {
   /// structural access (growth, indexing) is guarded by placesMutex_.
   mutable std::mutex placesMutex_;
   mutable std::deque<PlaceState> places_;
-  mutable AtomicStats stats_;
 
   /// Always-on observability (null when disabled). watchdog_ references
   /// *flight_, so it is declared after it (destroyed first); the

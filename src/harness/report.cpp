@@ -1,6 +1,5 @@
 #include "harness/report.h"
 
-#include <iomanip>
 #include <sstream>
 
 #include "obs/analysis/attribution.h"
@@ -11,18 +10,13 @@ namespace rgml::harness {
 namespace {
 
 using obs::jsonEscape;
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
-}
+using obs::jsonNumber;
 
 /// One compact line per span for the divergence trace tails.
 std::string spanLine(const obs::Span& s) {
   std::ostringstream os;
-  os << '[' << num(s.startTime) << "s.." << num(s.endTime) << "s] "
-     << obs::toString(s.category) << ' ' << s.name;
+  os << '[' << jsonNumber(s.startTime) << "s.." << jsonNumber(s.endTime)
+     << "s] " << obs::toString(s.category) << ' ' << s.name;
   if (s.iteration >= 0) os << " iter=" << s.iteration;
   if (s.place >= 0) os << " p" << s.place;
   if (s.bytes > 0) os << " bytes=" << s.bytes;
@@ -46,12 +40,12 @@ void writeAttributionSummary(
     os << '"' << key << "\": [";
     for (std::size_t i = 0; i < list.size(); ++i) {
       os << (i ? ", " : "") << "{\"key\": \"" << jsonEscape(list[i].key)
-         << "\", \"seconds\": " << num(list[i].selfSeconds)
-         << ", \"pct\": " << num(list[i].pct) << '}';
+         << "\", \"seconds\": " << jsonNumber(list[i].selfSeconds)
+         << ", \"pct\": " << jsonNumber(list[i].pct) << '}';
     }
     os << ']';
   };
-  os << "{\"total_seconds\": " << num(a.totalSeconds) << ", ";
+  os << "{\"total_seconds\": " << jsonNumber(a.totalSeconds) << ", ";
   buckets("by_phase", a.byPhase);
   os << ", ";
   buckets("by_category", a.byCategory);
@@ -81,10 +75,12 @@ void writeJsonReport(const SweepResult& result, std::ostream& os) {
   os << "    \"checkpoint_mode\": \""
      << resilient::toString(opt.checkpointMode) << "\",\n";
   if (resilient::usesLossy(opt.checkpointMode)) {
-    os << "    \"lossy_error_bound\": " << num(opt.lossyErrorBound) << ",\n";
-    os << "    \"lossy_tolerance\": " << num(opt.lossyTolerance) << ",\n";
+    os << "    \"lossy_error_bound\": " << jsonNumber(opt.lossyErrorBound)
+       << ",\n";
+    os << "    \"lossy_tolerance\": " << jsonNumber(opt.lossyTolerance)
+       << ",\n";
   }
-  os << "    \"tolerance\": " << num(opt.tolerance) << ",\n";
+  os << "    \"tolerance\": " << jsonNumber(opt.tolerance) << ",\n";
 
   long ok = 0;
   long unrecoverable = 0;
@@ -132,7 +128,7 @@ void writeJsonReport(const SweepResult& result, std::ostream& os) {
   os << "    \"worst_restore_ms\": {";
   bool first = true;
   for (const auto& [mode, ms] : result.worstRestoreMs) {
-    os << (first ? "" : ", ") << '"' << mode << "\": " << num(ms);
+    os << (first ? "" : ", ") << '"' << mode << "\": " << jsonNumber(ms);
     first = false;
   }
   os << "},\n";
@@ -145,8 +141,8 @@ void writeJsonReport(const SweepResult& result, std::ostream& os) {
        << "\", \"schedule\": \"" << jsonEscape(o.schedule.describe())
        << "\", \"kind\": \"" << toString(o.kind)
        << "\", \"failures_handled\": " << o.failuresHandled
-       << ", \"restore_ms\": " << num(o.restoreMs)
-       << ", \"total_ms\": " << num(o.totalMs);
+       << ", \"restore_ms\": " << jsonNumber(o.restoreMs)
+       << ", \"total_ms\": " << jsonNumber(o.totalMs);
     if (o.reconvergeIterations >= 0) {
       os << ", \"reconverge_iterations\": " << o.reconvergeIterations;
     }
@@ -241,12 +237,12 @@ void writeBenchSummary(const SweepResult& result, std::ostream& os) {
      << "      \"ok\": " << ok << ",\n"
      << "      \"failures\": " << result.failures.size() << ",\n"
      << "      \"unrecoverable_by_design\": " << unrecoverable << ",\n"
-     << "      \"total_simulated_ms\": " << num(totalMs) << ",\n"
-     << "      \"total_restore_ms\": " << num(restoreMs) << ",\n"
+     << "      \"total_simulated_ms\": " << jsonNumber(totalMs) << ",\n"
+     << "      \"total_restore_ms\": " << jsonNumber(restoreMs) << ",\n"
      << "      \"worst_restore_ms\": {";
   bool first = true;
   for (const auto& [mode, ms] : result.worstRestoreMs) {
-    os << (first ? "" : ", ") << '"' << mode << "\": " << num(ms);
+    os << (first ? "" : ", ") << '"' << mode << "\": " << jsonNumber(ms);
     first = false;
   }
   os << "}";
@@ -264,8 +260,8 @@ void writeBenchSummary(const SweepResult& result, std::ostream& os) {
   }
   os << "\n    },\n    \"wall\": {\n"
      << "      \"jobs\": " << result.jobsUsed << ",\n"
-     << "      \"wall_seconds\": " << num(result.wallSeconds) << ",\n"
-     << "      \"scenarios_per_sec\": " << num(result.scenariosPerSec)
+     << "      \"wall_seconds\": " << jsonNumber(result.wallSeconds) << ",\n"
+     << "      \"scenarios_per_sec\": " << jsonNumber(result.scenariosPerSec)
      << "\n    }\n  }\n}\n";
 }
 

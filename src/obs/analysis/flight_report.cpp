@@ -183,13 +183,6 @@ std::string formatFinishCurve(const std::vector<FinishCurvePoint>& curve) {
 
 void writeFlightAnalysisJson(const FlightAnalysis& analysis,
                              std::ostream& os) {
-  std::ostringstream num;
-  num << std::setprecision(12);
-  auto fmt = [&num](double v) {
-    num.str("");
-    num << v;
-    return num.str();
-  };
   os << "{\"flight_analysis\": {\"places\": " << analysis.places
      << ", \"ring_capacity\": " << analysis.ringCapacity
      << ", \"lanes\": " << analysis.lanes
@@ -201,9 +194,10 @@ void writeFlightAnalysisJson(const FlightAnalysis& analysis,
     bool first = true;
     for (const FlightLatencyStats& s : list) {
       os << (first ? "\n" : ",\n") << "    {\"queue\": " << s.queue
-         << ", \"count\": " << s.count << ", \"p50_us\": " << fmt(s.p50Us)
-         << ", \"p99_us\": " << fmt(s.p99Us)
-         << ", \"max_us\": " << fmt(s.maxUs) << "}";
+         << ", \"count\": " << s.count
+         << ", \"p50_us\": " << jsonNumber(s.p50Us)
+         << ", \"p99_us\": " << jsonNumber(s.p99Us)
+         << ", \"max_us\": " << jsonNumber(s.maxUs) << "}";
       first = false;
     }
     os << (first ? "]" : "\n  ]");
@@ -217,7 +211,7 @@ void writeFlightAnalysisJson(const FlightAnalysis& analysis,
     os << (first ? "\n" : ",\n") << "    {\"queue\": " << s.queue
        << ", \"samples\": " << s.samples
        << ", \"max_depth\": " << s.maxDepth
-       << ", \"mean_depth\": " << fmt(s.meanDepth)
+       << ", \"mean_depth\": " << jsonNumber(s.meanDepth)
        << ", \"enqueues\": " << s.enqueues
        << ", \"dequeues\": " << s.dequeues
        << ", \"dead\": " << (s.dead ? 1 : 0) << "}";

@@ -1,9 +1,10 @@
 #include "obs/analysis/perf_gate.h"
 
 #include <cmath>
-#include <iomanip>
 #include <map>
 #include <sstream>
+
+#include "obs/json_util.h"
 
 namespace rgml::obs::analysis {
 
@@ -54,12 +55,6 @@ const ToleranceRule* matchRule(const std::vector<ToleranceRule>& rules,
     if (path.compare(0, r.prefix.size(), r.prefix) == 0) return &r;
   }
   return nullptr;
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
 }
 
 }  // namespace
@@ -117,9 +112,9 @@ GateResult diffBenchmarks(const JsonValue& baseline, const JsonValue& fresh,
       v.path = path;
       v.kind = "mismatch";
       v.detail = "baseline " +
-                 (b.numeric ? num(b.number) : "\"" + b.literal + "\"") +
+                 (b.numeric ? jsonNumber(b.number) : "\"" + b.literal + "\"") +
                  " vs fresh " +
-                 (f.numeric ? num(f.number) : "\"" + f.literal + "\"");
+                 (f.numeric ? jsonNumber(f.number) : "\"" + f.literal + "\"");
       result.violations.push_back(std::move(v));
       continue;
     }
@@ -136,9 +131,9 @@ GateResult diffBenchmarks(const JsonValue& baseline, const JsonValue& fresh,
       v.baseline = b.number;
       v.fresh = f.number;
       v.allowed = allowed;
-      v.detail = "baseline " + num(b.number) + " vs fresh " +
-                 num(f.number) + " (|delta| " + num(delta) +
-                 " > allowed " + num(allowed) + ")";
+      v.detail = "baseline " + jsonNumber(b.number) + " vs fresh " +
+                 jsonNumber(f.number) + " (|delta| " + jsonNumber(delta) +
+                 " > allowed " + jsonNumber(allowed) + ")";
       result.violations.push_back(std::move(v));
     }
   }

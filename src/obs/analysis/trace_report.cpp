@@ -9,12 +9,6 @@ namespace rgml::obs::analysis {
 
 namespace {
 
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
-}
-
 /// Fixed-point rendering for the human tables (ms resolution is noise
 /// here; 6 decimals of simulated seconds is plenty).
 std::string fixed6(double v) {
@@ -50,7 +44,7 @@ void writeBucketsJson(std::ostream& os, const char* key,
     const AttributionBucket& b = buckets[i];
     os << (i ? "," : "") << "\n" << indent << "  {\"key\": \""
        << jsonEscape(b.key) << "\", \"self_seconds\": "
-       << num(b.selfSeconds) << ", \"pct\": " << num(b.pct)
+       << jsonNumber(b.selfSeconds) << ", \"pct\": " << jsonNumber(b.pct)
        << ", \"spans\": " << b.spans << ", \"bytes\": " << b.bytes << "}";
   }
   os << (buckets.empty() ? "" : "\n") << (buckets.empty() ? "" : indent)
@@ -61,7 +55,7 @@ void writeAttributionJson(std::ostream& os, const AttributionReport& a,
                           const char* indent) {
   std::string inner = std::string(indent) + "  ";
   os << "{\n"
-     << inner << "\"total_seconds\": " << num(a.totalSeconds) << ",\n";
+     << inner << "\"total_seconds\": " << jsonNumber(a.totalSeconds) << ",\n";
   writeBucketsJson(os, "by_category", a.byCategory, inner.c_str());
   os << ",\n";
   writeBucketsJson(os, "by_phase", a.byPhase, inner.c_str());
@@ -72,16 +66,16 @@ void writeEntryJson(std::ostream& os, const CriticalPathEntry& e) {
   os << "{\"category\": \"" << jsonEscape(e.category) << "\", \"name\": \""
      << jsonEscape(e.name) << "\", \"phase\": \"" << jsonEscape(e.phase)
      << "\", \"place\": " << e.place << ", \"iteration\": " << e.iteration
-     << ", \"start\": " << num(e.startTime)
-     << ", \"duration\": " << num(e.duration()) << "}";
+     << ", \"start\": " << jsonNumber(e.startTime)
+     << ", \"duration\": " << jsonNumber(e.duration()) << "}";
 }
 
 void writeCriticalPathJson(std::ostream& os, const CriticalPath& p,
                            const char* indent) {
   std::string inner = std::string(indent) + "  ";
   os << "{\n"
-     << inner << "\"length_seconds\": " << num(p.lengthSeconds) << ",\n"
-     << inner << "\"makespan_seconds\": " << num(p.makespanSeconds)
+     << inner << "\"length_seconds\": " << jsonNumber(p.lengthSeconds) << ",\n"
+     << inner << "\"makespan_seconds\": " << jsonNumber(p.makespanSeconds)
      << ",\n"
      << inner << "\"entries\": [";
   for (std::size_t i = 0; i < p.entries.size(); ++i) {
@@ -94,8 +88,8 @@ void writeCriticalPathJson(std::ostream& os, const CriticalPath& p,
   for (std::size_t i = 0; i < p.byCategory.size(); ++i) {
     const CriticalPathCategory& c = p.byCategory[i];
     os << (i ? "," : "") << "\n" << inner << "  {\"key\": \""
-       << jsonEscape(c.key) << "\", \"seconds\": " << num(c.seconds)
-       << ", \"pct\": " << num(c.pct) << ", \"spans\": " << c.spans
+       << jsonEscape(c.key) << "\", \"seconds\": " << jsonNumber(c.seconds)
+       << ", \"pct\": " << jsonNumber(c.pct) << ", \"spans\": " << c.spans
        << ", \"top\": [";
     for (std::size_t j = 0; j < c.top.size(); ++j) {
       os << (j ? ", " : "");
@@ -113,40 +107,41 @@ void writeAmortizationJson(std::ostream& os, const AmortizationReport& a,
   std::string inner = std::string(indent) + "  ";
   os << "{\n"
      << inner << "\"steps\": " << a.steps << ",\n"
-     << inner << "\"step_seconds\": " << num(a.stepSeconds) << ",\n"
-     << inner << "\"avg_step_seconds\": " << num(a.avgStepSeconds)
+     << inner << "\"step_seconds\": " << jsonNumber(a.stepSeconds) << ",\n"
+     << inner << "\"avg_step_seconds\": " << jsonNumber(a.avgStepSeconds)
      << ",\n"
      << inner << "\"checkpoints\": " << a.checkpoints << ",\n"
-     << inner << "\"checkpoint_seconds\": " << num(a.checkpointSeconds)
+     << inner << "\"checkpoint_seconds\": " << jsonNumber(a.checkpointSeconds)
      << ",\n"
      << inner << "\"avg_checkpoint_seconds\": "
-     << num(a.avgCheckpointSeconds) << ",\n"
+     << jsonNumber(a.avgCheckpointSeconds) << ",\n"
      << inner << "\"restores\": " << a.restores << ",\n"
-     << inner << "\"restore_seconds\": " << num(a.restoreSeconds) << ",\n"
+     << inner << "\"restore_seconds\": " << jsonNumber(a.restoreSeconds)
+     << ",\n"
      << inner << "\"fresh_bytes\": " << a.freshBytes << ",\n"
      << inner << "\"carried_bytes\": " << a.carriedBytes << ",\n"
      << inner << "\"fresh_entries\": " << a.freshEntries << ",\n"
      << inner << "\"carried_entries\": " << a.carriedEntries << ",\n"
-     << inner << "\"carried_fraction\": " << num(a.carriedFraction)
+     << inner << "\"carried_fraction\": " << jsonNumber(a.carriedFraction)
      << ",\n"
      << inner << "\"raw_bytes\": " << a.rawBytes << ",\n"
      << inner << "\"encoded_bytes\": " << a.encodedBytes << ",\n"
-     << inner << "\"codec_seconds\": " << num(a.codecSeconds) << ",\n"
-     << inner << "\"compression_ratio\": " << num(a.compressionRatio)
+     << inner << "\"codec_seconds\": " << jsonNumber(a.codecSeconds) << ",\n"
+     << inner << "\"compression_ratio\": " << jsonNumber(a.compressionRatio)
      << ",\n"
      << inner << "\"checkpoint_overhead_pct\": "
-     << num(a.checkpointOverheadPct) << ",\n"
-     << inner << "\"restore_overhead_pct\": " << num(a.restoreOverheadPct)
-     << ",\n"
-     << inner << "\"mtbf_seconds\": " << num(a.mtbfSeconds) << ",\n"
+     << jsonNumber(a.checkpointOverheadPct) << ",\n"
+     << inner << "\"restore_overhead_pct\": "
+     << jsonNumber(a.restoreOverheadPct) << ",\n"
+     << inner << "\"mtbf_seconds\": " << jsonNumber(a.mtbfSeconds) << ",\n"
      << inner << "\"mtbf_observed\": "
      << (a.mtbfObserved ? "true" : "false") << ",\n"
-     << inner << "\"checkpoint_cost_used\": " << num(a.checkpointCostUsed)
-     << ",\n"
+     << inner << "\"checkpoint_cost_used\": "
+     << jsonNumber(a.checkpointCostUsed) << ",\n"
      << inner << "\"recommended_interval\": " << a.recommendedInterval
      << ",\n"
      << inner << "\"recommended_overhead_pct\": "
-     << num(a.recommendedOverheadPct) << ",\n"
+     << jsonNumber(a.recommendedOverheadPct) << ",\n"
      << inner << "\"note\": \"" << jsonEscape(a.note) << "\"\n"
      << indent << "}";
 }

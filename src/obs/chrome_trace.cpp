@@ -1,6 +1,5 @@
 #include "obs/chrome_trace.h"
 
-#include <iomanip>
 #include <set>
 #include <sstream>
 
@@ -10,14 +9,8 @@ namespace rgml::obs {
 
 namespace {
 
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
-}
-
 /// Simulated seconds -> Chrome trace microseconds.
-std::string us(double seconds) { return num(seconds * 1e6); }
+std::string us(double seconds) { return jsonNumber(seconds * 1e6); }
 
 int tidOf(const Span& s) { return s.place >= 0 ? s.place : 0; }
 

@@ -1,19 +1,10 @@
 #include "obs/flight/forensic_dump.h"
 
-#include <iomanip>
 #include <sstream>
 
 #include "obs/json_util.h"
 
 namespace rgml::obs::flight {
-
-namespace {
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
-}
-}  // namespace
 
 void writeForensicJson(std::ostream& os, const FlightRecorder& recorder,
                        const StallWatchdog* watchdog) {
@@ -29,10 +20,10 @@ void writeForensicJson(std::ostream& os, const FlightRecorder& recorder,
        << ", \"dropped\": " << lane.dropped << ", \"events\": [";
     bool firstEvent = true;
     for (const Event& e : lane.events) {
-      os << (firstEvent ? "\n" : ",\n") << "      {\"t\": " << num(e.t)
+      os << (firstEvent ? "\n" : ",\n") << "      {\"t\": " << jsonNumber(e.t)
          << ", \"kind\": \"" << toString(e.kind)
          << "\", \"queue\": " << e.queue << ", \"depth\": " << e.depth
-         << ", \"value\": " << num(e.value) << "}";
+         << ", \"value\": " << jsonNumber(e.value) << "}";
       firstEvent = false;
     }
     os << (firstEvent ? "]}" : "\n    ]}");
@@ -54,10 +45,11 @@ void writeForensicJson(std::ostream& os, const FlightRecorder& recorder,
   os << (firstRow ? "]" : "\n  ]");
   if (watchdog != nullptr) {
     os << ",\n  \"watchdog\": {\"period_seconds\": "
-       << num(watchdog->periodSeconds()) << ", \"samples\": [";
+       << jsonNumber(watchdog->periodSeconds()) << ", \"samples\": [";
     bool firstSample = true;
     for (const auto& sample : watchdog->samples()) {
-      os << (firstSample ? "\n" : ",\n") << "    {\"t\": " << num(sample.t)
+      os << (firstSample ? "\n" : ",\n")
+         << "    {\"t\": " << jsonNumber(sample.t)
          << ", \"index\": " << sample.index << ", \"rows\": [";
       bool first = true;
       for (const auto& row : sample.rows) {
@@ -74,7 +66,7 @@ void writeForensicJson(std::ostream& os, const FlightRecorder& recorder,
     os << (firstSample ? "]" : "\n  ]") << ", \"verdicts\": [";
     bool firstVerdict = true;
     for (const auto& v : watchdog->verdicts()) {
-      os << (firstVerdict ? "\n" : ",\n") << "    {\"t\": " << num(v.t)
+      os << (firstVerdict ? "\n" : ",\n") << "    {\"t\": " << jsonNumber(v.t)
          << ", \"sample\": " << v.sampleIndex << ", \"queue\": " << v.queue
          << ", \"depth\": " << v.depth << ", \"dequeues\": " << v.dequeues
          << ", \"detail\": ";

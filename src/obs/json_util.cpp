@@ -48,4 +48,10 @@ void writeJsonString(std::ostream& os, std::string_view s) {
   os << '"' << jsonEscape(s) << '"';
 }
 
+std::string jsonNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
+
 }  // namespace rgml::obs

@@ -1,5 +1,6 @@
-// Shared JSON string escaping for every exporter in the repo (Chrome
-// traces, metrics documents, chaos reports, bench artifacts).
+// Shared JSON string escaping and number formatting for every exporter
+// in the repo (Chrome traces, metrics documents, chaos reports, bench
+// artifacts, gate messages).
 //
 // One definition instead of per-file copies: span names, annotation
 // values and metric names are free-form strings — a quote, backslash or
@@ -21,5 +22,9 @@ namespace rgml::obs {
 
 /// Write `s` to `os` as a quoted, escaped JSON string literal.
 void writeJsonString(std::ostream& os, std::string_view s);
+
+/// `v` with 12 significant digits (printf "%.12g"): the number format of
+/// the JSON artifacts and gate messages.
+[[nodiscard]] std::string jsonNumber(double v);
 
 }  // namespace rgml::obs

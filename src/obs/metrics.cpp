@@ -1,20 +1,11 @@
 #include "obs/metrics.h"
 
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/json_util.h"
 
 namespace rgml::obs {
-
-namespace {
-std::string num(double v) {
-  std::ostringstream os;
-  os << std::setprecision(12) << v;
-  return os.str();
-}
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upperBounds)
     : upperBounds_(std::move(upperBounds)),
@@ -135,7 +126,7 @@ void MetricsRegistry::writeJson(std::ostream& os) const {
   first = true;
   for (const auto& [name, value] : gauges_) {
     os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-       << "\": " << num(value);
+       << "\": " << jsonNumber(value);
     first = false;
   }
   os << (gauges_.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -143,9 +134,9 @@ void MetricsRegistry::writeJson(std::ostream& os) const {
   for (const auto& [name, hist] : histograms_) {
     os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
        << "\": {\"count\": " << hist.count()
-       << ", \"sum\": " << num(hist.sum()) << ", \"bounds\": [";
+       << ", \"sum\": " << jsonNumber(hist.sum()) << ", \"bounds\": [";
     for (std::size_t i = 0; i < hist.upperBounds().size(); ++i) {
-      os << (i ? ", " : "") << num(hist.upperBounds()[i]);
+      os << (i ? ", " : "") << jsonNumber(hist.upperBounds()[i]);
     }
     os << "], \"buckets\": [";
     for (std::size_t i = 0; i < hist.bucketCounts().size(); ++i) {

@@ -1,5 +1,6 @@
 #include "resilient/disk_checkpoint.h"
 
+#include <charconv>
 #include <fstream>
 
 #include "apgas/runtime.h"
@@ -14,6 +15,20 @@ namespace {
 
 std::filesystem::path keyFile(const std::filesystem::path& dir, long key) {
   return dir / (std::to_string(key) + ".snap");
+}
+
+/// The key a `<key>.snap` file holds. The whole stem must be the key: a
+/// stray `backup.snap` or `3-old.snap` is no snapshot entry.
+long fileKey(const std::filesystem::path& file) {
+  const std::string stem = file.stem().string();
+  const char* end = stem.data() + stem.size();
+  long key = 0;
+  const auto [ptr, ec] = std::from_chars(stem.data(), end, key);
+  if (ec != std::errc{} || ptr != end) {
+    throw serialize::SerializeError("not a snapshot key file: " +
+                                    file.string());
+  }
+  return key;
 }
 
 void chargeDisk(Runtime& rt, std::size_t bytes) {
@@ -58,7 +73,8 @@ std::shared_ptr<Snapshot> loadFromDisk(const std::filesystem::path& dir,
   rt.at(pg(0), [&] {
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       if (entry.path().extension() != ".snap") continue;
-      const std::string stem = entry.path().stem().string();
+      const bool meta = entry.path().stem() == "_meta";
+      const long key = meta ? 0 : fileKey(entry.path());
       std::ifstream in(entry.path(), std::ios::binary);
       if (!in) {
         throw serialize::SerializeError("cannot open " +
@@ -67,10 +83,10 @@ std::shared_ptr<Snapshot> loadFromDisk(const std::filesystem::path& dir,
       auto value = readSnapshotValue(in);
       chargeDisk(rt, value->bytes());
       rt.chargeSerialization(value->bytes());
-      if (stem == "_meta") {
+      if (meta) {
         snapshot->setMeta(std::move(value));
       } else {
-        snapshot->save(std::stol(stem), std::move(value));
+        snapshot->save(key, std::move(value));
       }
     }
   });

@@ -1,6 +1,9 @@
 #include "serialize/matrix_io.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -118,19 +121,23 @@ la::DenseMatrix readCsv(std::istream& in) {
     std::istringstream cells(line);
     std::string cell;
     while (std::getline(cells, cell, ',')) {
-      try {
-        std::size_t used = 0;
-        row.push_back(std::stod(cell, &used));
-        // Allow trailing whitespace only.
-        for (; used < cell.size(); ++used) {
-          if (cell[used] != ' ' && cell[used] != '\t' &&
-              cell[used] != '\r') {
-            throw SerializeError("malformed CSV cell: " + cell);
-          }
-        }
-      } catch (const std::invalid_argument&) {
-        throw SerializeError("malformed CSV cell: " + cell);
+      // strtod, not std::stod: stod throws std::out_of_range for the
+      // subnormal values writeCsv round-trips. Only overflow is an error.
+      char* end = nullptr;
+      errno = 0;
+      const double v = std::strtod(cell.c_str(), &end);
+      std::size_t used = static_cast<std::size_t>(end - cell.c_str());
+      if (used == 0) throw SerializeError("malformed CSV cell: " + cell);
+      if (errno == ERANGE && std::isinf(v)) {
+        throw SerializeError("CSV cell out of range: " + cell);
       }
+      // Allow trailing whitespace only.
+      for (; used < cell.size(); ++used) {
+        if (cell[used] != ' ' && cell[used] != '\t' && cell[used] != '\r') {
+          throw SerializeError("malformed CSV cell: " + cell);
+        }
+      }
+      row.push_back(v);
     }
     if (!rows.empty() && row.size() != rows.front().size()) {
       throw SerializeError("ragged CSV rows");

@@ -400,14 +400,15 @@ TEST_F(ApgasTest, GlobalRefAccessibleAtHome) {
 
 TEST_F(ApgasTest, GlobalRefRejectsRemoteAccess) {
   GlobalRef<int> ref(std::make_shared<int>(1));
-  at(Place(1), [&] { EXPECT_THROW(ref(), ApgasError); });
+  at(Place(1), [&] { EXPECT_THROW(static_cast<void>(ref()), ApgasError); });
 }
 
 TEST_F(ApgasTest, GlobalRefDiesWithItsPlace) {
   GlobalRef<int> ref;
   at(Place(2), [&] { ref = GlobalRef<int>(std::make_shared<int>(7)); });
   Runtime::world().kill(2);
-  EXPECT_THROW(at(Place(2), [&] { ref(); }), DeadPlaceException);
+  EXPECT_THROW(at(Place(2), [&] { static_cast<void>(ref()); }),
+               DeadPlaceException);
 }
 
 TEST_F(ApgasTest, PlaceLocalHandleOnePerPlace) {
@@ -427,7 +428,8 @@ TEST_F(ApgasTest, PlaceLocalHandleSubsetGroup) {
       pg, [](Place) { return std::make_shared<int>(1); });
   at(Place(1), [&] { EXPECT_TRUE(plh.hasLocal()); });
   at(Place(2), [&] { EXPECT_FALSE(plh.hasLocal()); });
-  EXPECT_THROW(plh.local(), ApgasError);  // place 0 not in group
+  EXPECT_THROW(static_cast<void>(plh.local()),
+               ApgasError);  // place 0 not in group
 }
 
 TEST_F(ApgasTest, PlaceDeathDestroysLocalObjects) {

@@ -58,9 +58,11 @@ TEST(CheckpointIntervalTest, YoungIterationsClampedBeforeCast) {
 }
 
 TEST(CheckpointIntervalTest, YoungIterationsRejectsBadInputs) {
-  EXPECT_THROW(rgml::framework::youngIntervalIterations(0.5, 100.0, 0.0),
+  EXPECT_THROW(static_cast<void>(
+                   rgml::framework::youngIntervalIterations(0.5, 100.0, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(rgml::framework::youngIntervalIterations(0.5, -1.0, 1.0),
+  EXPECT_THROW(static_cast<void>(
+                   rgml::framework::youngIntervalIterations(0.5, -1.0, 1.0)),
                std::invalid_argument);
 }
 

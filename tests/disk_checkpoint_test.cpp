@@ -9,6 +9,7 @@
 #include "gml/dist_vector.h"
 #include "la/rand.h"
 #include "resilient/disk_checkpoint.h"
+#include "serialize/binary_io.h"
 
 namespace rgml::resilient {
 namespace {
@@ -141,6 +142,22 @@ TEST_F(DiskCheckpointTest, RepeatedPersistOverwrites) {
   v.init(0.0);
   v.restoreSnapshot(*restored);
   EXPECT_EQ(v.at(0), 2.0);  // the second snapshot won
+}
+
+TEST_F(DiskCheckpointTest, RejectsSnapFilesWhoseStemIsNotAKey) {
+  // A valid snapshot file under a name that is not a whole key must
+  // neither escape as std::invalid_argument nor load as key 3.
+  auto pg = PlaceGroup::world();
+  auto v = gml::DistVector::make(8, pg);
+  v.init(1.0);
+  persistToDisk(*v.makeSnapshot(), dir_);
+  for (const char* name : {"backup.snap", "3-old.snap"}) {
+    std::filesystem::copy_file(dir_ / "0.snap", dir_ / name);
+    EXPECT_THROW(static_cast<void>(loadFromDisk(dir_, pg)),
+                 serialize::SerializeError)
+        << name;
+    std::filesystem::remove(dir_ / name);
+  }
 }
 
 }  // namespace

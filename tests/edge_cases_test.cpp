@@ -135,7 +135,8 @@ TEST_F(EdgeCasesTest, KillBetweenSnapshotAndRestoreOfScratch) {
   auto snap = v.makeSnapshot();
 
   Runtime::world().kill(1);
-  EXPECT_THROW(v.sum(), apgas::DeadPlaceException);  // live object broken
+  EXPECT_THROW(static_cast<void>(v.sum()),
+               apgas::DeadPlaceException);  // live object broken
 
   v.remake(pg.filterDead());
   v.restoreSnapshot(*snap);

@@ -240,20 +240,21 @@ TEST(FlightRecorderTest, ThreadsBackendRecordsLifecycleEvents) {
     EXPECT_EQ(analysis.ackWait[static_cast<std::size_t>(p)].queue, p);
     EXPECT_GE(analysis.ackWait[static_cast<std::size_t>(p)].count, 1);
   }
-  // The kill fires kill/heap-wipe/poison events and marks the progress
-  // row dead — scan the raw lanes for the kinds.
-  bool sawKill = false, sawWipe = false, sawPoison = false;
+  // The kill fires kill, heap-wipe and poison events for queue 2, in
+  // that order, all in the killing thread's lane (the world-owning "p0"),
+  // and marks the progress row dead — scan the raw lanes for the kinds.
+  std::vector<std::string> killPath;
   for (const auto& lane : root.at("flight").at("lanes").items()) {
     for (const auto& ev : lane.at("events").items()) {
       const std::string& kind = ev.at("kind").asString();
-      sawKill = sawKill || kind == "kill";
-      sawWipe = sawWipe || kind == "heap_wipe";
-      sawPoison = sawPoison || kind == "poison";
+      if (kind == "kill" || kind == "heap_wipe" || kind == "poison") {
+        killPath.push_back(lane.at("label").asString() + ":" + kind + "@" +
+                           std::to_string(ev.at("queue").asLong()));
+      }
     }
   }
-  EXPECT_TRUE(sawKill);
-  EXPECT_TRUE(sawWipe);
-  EXPECT_TRUE(sawPoison);
+  EXPECT_EQ(killPath, (std::vector<std::string>{"p0:kill@2", "p0:heap_wipe@2",
+                                                "p0:poison@2"}));
   for (const auto& q : analysis.queues) {
     if (q.queue == 2) {
       EXPECT_TRUE(q.dead);

@@ -84,7 +84,9 @@ TEST_F(GmlVectorTest, DupVectorSubsetGroup) {
   v.init(1.0);
   apgas::at(Place(2), [&] { EXPECT_EQ(v.local()[0], 1.0); });
   // Place 1 holds no replica.
-  apgas::at(Place(1), [&] { EXPECT_THROW(v.local(), apgas::ApgasError); });
+  apgas::at(Place(1), [&] {
+    EXPECT_THROW(static_cast<void>(v.local()), apgas::ApgasError);
+  });
 }
 
 TEST_F(GmlVectorTest, DupVectorRemakeChangesGroup) {
@@ -193,10 +195,11 @@ TEST_F(GmlVectorTest, DistVectorAccessAfterKillThrows) {
   auto v = DistVector::make(12, PlaceGroup::world());
   v.init(1.0);
   Runtime::world().kill(2);
-  EXPECT_THROW(v.at(7), apgas::DeadPlaceException);  // segment on place 2
+  EXPECT_THROW(static_cast<void>(v.at(7)),
+               apgas::DeadPlaceException);  // segment on place 2
   la::Vector dst(12);
   EXPECT_THROW(v.copyTo(dst), apgas::DeadPlaceException);
-  EXPECT_THROW(v.sum(), apgas::DeadPlaceException);
+  EXPECT_THROW(static_cast<void>(v.sum()), apgas::DeadPlaceException);
 }
 
 TEST_F(GmlVectorTest, DistVectorTooFewElementsRejected) {

@@ -38,7 +38,7 @@ TEST_F(PlaceGroupTest, IndexOfReflectsOrder) {
 
 TEST_F(PlaceGroupTest, IndexOutOfRangeThrows) {
   PlaceGroup pg({1, 2});
-  EXPECT_THROW(pg(2), ApgasError);
+  EXPECT_THROW(static_cast<void>(pg(2)), ApgasError);
 }
 
 TEST_F(PlaceGroupTest, NextIsRingOrder) {
@@ -46,7 +46,7 @@ TEST_F(PlaceGroupTest, NextIsRingOrder) {
   EXPECT_EQ(pg.next(Place(1)).id(), 4);
   EXPECT_EQ(pg.next(Place(4)).id(), 6);
   EXPECT_EQ(pg.next(Place(6)).id(), 1);  // wraps
-  EXPECT_THROW(pg.next(Place(0)), ApgasError);
+  EXPECT_THROW(static_cast<void>(pg.next(Place(0))), ApgasError);
 }
 
 TEST_F(PlaceGroupTest, FilterDeadPreservesOrderAndIds) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "la/rand.h"
@@ -190,6 +191,8 @@ TEST(MatrixMarketTest, RejectsMalformedInput) {
 
 TEST(CsvTest, RoundTrip) {
   la::DenseMatrix m = la::makeUniformDense(6, 4, 14);
+  m(2, 1) = 1e-310;  // subnormal
+  m(5, 3) = -std::numeric_limits<double>::denorm_min();
   std::stringstream buffer;
   writeCsv(buffer, m);
   EXPECT_EQ(readCsv(buffer), m);
@@ -203,6 +206,8 @@ TEST(CsvTest, RejectsRaggedRows) {
 TEST(CsvTest, RejectsNonNumericCells) {
   std::stringstream in("1,two,3\n");
   EXPECT_THROW(static_cast<void>(readCsv(in)), SerializeError);
+  std::stringstream overflow("1,1e999,3\n");
+  EXPECT_THROW(static_cast<void>(readCsv(overflow)), SerializeError);
 }
 
 }  // namespace

@@ -107,12 +107,12 @@ TEST_F(SnapshotTest, LocalLoadCheaperThanRemote) {
   double localCost = 0.0, remoteCost = 0.0;
   apgas::at(Place(1), [&] {
     const double t0 = rt.clock(1);
-    snap.load(1);
+    static_cast<void>(snap.load(1));
     localCost = rt.clock(1) - t0;
   });
   apgas::at(Place(3), [&] {
     const double t0 = rt.clock(3);
-    snap.load(1);
+    static_cast<void>(snap.load(1));
     remoteCost = rt.clock(3) - t0;
   });
   EXPECT_LT(localCost, remoteCost);

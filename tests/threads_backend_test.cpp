@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apgas/place_local_handle.h"
@@ -181,29 +184,51 @@ TEST(ThreadsBackendTest, WallClockAdvancesMonotonically) {
 
 TEST(ThreadsBackendTest, StatsMatchSimulatedBackend) {
   // The cross-backend invariant: identical program => identical counters
-  // (asyncs, finishes, resilient bookkeeping, data msgs, bytes).
+  // (asyncs, finishes, resilient bookkeeping, data msgs, bytes, kills)
+  // and identical trace metrics.
+  struct Run {
+    RuntimeStats stats;
+    std::map<std::string, std::uint64_t> counters;
+    long ackWaits = 0;
+  };
   auto program = [] {
     Runtime& rt = Runtime::world();
-    for (int round = 0; round < 3; ++round) {
-      finish([&] {
-        for (int p = 0; p < 4; ++p) {
-          asyncAt(Place(p), [&rt, p] {
-            if (p != 0) rt.chargeComm(Place(0), 128);
-          });
-        }
-      });
+    rgml::obs::TraceSink sink;
+    {
+      rgml::obs::SinkScope scope(&sink);
+      for (int round = 0; round < 3; ++round) {
+        finish([&] {
+          for (int p = 0; p < 4; ++p) {
+            asyncAt(Place(p), [&rt, p] {
+              if (p != 0) rt.chargeComm(Place(0), 128);
+            });
+          }
+        });
+      }
+      rt.noteDataTransfer(256);
+      rt.kill(3);
     }
-    return rt.stats();
+    Run run{rt.stats(), sink.metrics().counters()};
+    const auto& histograms = sink.metrics().histograms();
+    if (auto it = histograms.find("finish.ack_wait_seconds");
+        it != histograms.end()) {
+      run.ackWaits = it->second.count();
+    }
+    return run;
   };
   Runtime::init(threadsConfig(4, /*resilient=*/true));
-  const RuntimeStats threadsStats = program();
+  const Run threads = program();
   Runtime::init(4, CostModel{}, /*resilientFinish=*/true);
-  const RuntimeStats simulatedStats = program();
-  EXPECT_EQ(threadsStats.asyncsSpawned, simulatedStats.asyncsSpawned);
-  EXPECT_EQ(threadsStats.finishes, simulatedStats.finishes);
-  EXPECT_EQ(threadsStats.bookkeepingMsgs, simulatedStats.bookkeepingMsgs);
-  EXPECT_EQ(threadsStats.dataMsgs, simulatedStats.dataMsgs);
-  EXPECT_EQ(threadsStats.bytesSent, simulatedStats.bytesSent);
+  const Run simulated = program();
+  EXPECT_EQ(threads.stats.asyncsSpawned, simulated.stats.asyncsSpawned);
+  EXPECT_EQ(threads.stats.finishes, simulated.stats.finishes);
+  EXPECT_EQ(threads.stats.bookkeepingMsgs, simulated.stats.bookkeepingMsgs);
+  EXPECT_EQ(threads.stats.dataMsgs, simulated.stats.dataMsgs);
+  EXPECT_EQ(threads.stats.bytesSent, simulated.stats.bytesSent);
+  EXPECT_EQ(threads.stats.placesKilled, simulated.stats.placesKilled);
+  EXPECT_EQ(threads.counters, simulated.counters);
+  EXPECT_EQ(threads.ackWaits, simulated.ackWaits);
+  EXPECT_EQ(simulated.ackWaits, 3);  // one per resilient finish
 }
 
 TEST(ThreadsBackendTest, SpansCarryThreadTagsOnThreadsBackend) {

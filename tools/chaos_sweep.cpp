@@ -7,7 +7,7 @@
 //
 // Usage:
 //   chaos_sweep --app linreg --modes all --iters 12
-//   chaos_sweep --app all --modes shrink,replace-elastic --midstep \
+//   chaos_sweep --app all --modes shrink,replace-elastic --midstep
 //               --pairs --victims all --jobs 8 --out report.json
 //
 // Scenarios fan out across --jobs worker threads (default: all hardware

@@ -15,7 +15,7 @@
 // Usage:
 //   flight_report dump.json
 //   flight_report --json dump.json            # {"flight_analysis": ...}
-//   flight_report flight_p1.json flight_p2.json flight_p4.json \
+//   flight_report flight_p1.json flight_p2.json flight_p4.json
 //                 flight_p8.json              # adds the curve table
 //
 // Exit status: 0 on success, 2 on usage/parse errors.
