@@ -23,8 +23,6 @@
 // diff), "wall" the machine-dependent fields its tolerances ignore.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,10 +31,8 @@
 #include "apps/cg_resilient.h"
 #include "apps/gmres_resilient.h"
 #include "bench_util.h"
-#include "harness/cli.h"
 #include "harness/report.h"
 #include "harness/sweeper.h"
-#include "obs/json_util.h"
 
 namespace {
 
@@ -53,7 +49,6 @@ using rgml::harness::OutcomeKind;
 using rgml::harness::ScenarioOutcome;
 using rgml::harness::SweepOptions;
 using rgml::harness::SweepResult;
-using rgml::obs::jsonNumber;
 
 constexpr int kPlaces = 6;
 constexpr long kIterations = 16;
@@ -211,35 +206,34 @@ std::string lostKey(const LostCell& c) {
 bool writeBench(const std::string& path, const std::vector<LostCell>& lost,
                 const std::vector<CorpusResult>& corpora, std::size_t jobs,
                 double wallSeconds) {
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  os << "{\n  \"krylov_ablation\": {\n    \"deterministic\": {\n"
-     << "      \"time_lost_ms\": {\n";
-  for (std::size_t i = 0; i < lost.size(); ++i) {
-    const LostCell& c = lost[i];
-    os << "        \"" << lostKey(c) << "\": {\"lost\": "
-       << jsonNumber(c.timeLostMs) << ", \"restored_to\": " << c.restoredTo
-       << ", \"recovered\": " << c.recovered << "}"
-       << (i + 1 < lost.size() ? "," : "") << '\n';
-  }
-  os << "      },\n      \"corpus\": {\n";
-  for (std::size_t i = 0; i < corpora.size(); ++i) {
-    const CorpusResult& r = corpora[i];
-    os << "        \"" << r.name << "\": {\"scenarios\": " << r.scenarios
-       << ", \"all_ok\": " << r.allOk
-       << ", \"backend_match\": " << r.backendMatch;
-    for (const auto& [kind, count] : r.kinds) {
-      os << ", \"" << kind << "\": " << count;
-    }
-    os << "}" << (i + 1 < corpora.size() ? "," : "") << '\n';
-  }
-  os << "      }\n    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
-     << "\n    }\n  }\n}\n";
-  return true;
+  using Layout = rgml::obs::JsonWriter::Layout;
+  return rgml::bench::writeBenchFile(
+      path, "krylov_ablation",
+      [&](rgml::obs::JsonWriter& w) {
+        w.key("time_lost_ms").beginObject(Layout::Lines);
+        for (const LostCell& c : lost) {
+          w.key(lostKey(c))
+              .beginObject()
+              .member("lost", c.timeLostMs)
+              .member("restored_to", c.restoredTo)
+              .member("recovered", c.recovered)
+              .end();
+        }
+        w.end().key("corpus").beginObject(Layout::Lines);
+        for (const CorpusResult& r : corpora) {
+          w.key(r.name)
+              .beginObject()
+              .member("scenarios", r.scenarios)
+              .member("all_ok", r.allOk)
+              .member("backend_match", r.backendMatch);
+          for (const auto& [kind, count] : r.kinds) w.member(kind, count);
+          w.end();
+        }
+        w.end();
+      },
+      [&](rgml::obs::JsonWriter& w) {
+        w.member("jobs", jobs).member("wall_seconds", wallSeconds);
+      });
 }
 
 }  // namespace
@@ -248,18 +242,9 @@ int main(int argc, char** argv) {
   using namespace rgml;
   const auto wall0 = std::chrono::steady_clock::now();
 
-  // Checked flag parsing: a typo'd --jobs dies naming the flag instead of
-  // silently running serial (the atol trap the cli helpers close).
-  std::size_t jobs = harness::defaultJobCount();
-  std::string benchOut = "BENCH_krylov.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = static_cast<std::size_t>(
-          harness::cli::requireLong("--jobs", argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--bench-out") == 0) {
-      benchOut = argv[i + 1];
-    }
-  }
+  const std::size_t jobs = bench::benchJobs(argc, argv);
+  const std::string benchOut =
+      bench::benchOut(argc, argv, "BENCH_krylov.json");
 
   apps::CgResilientConfig cg;
   cg.iterations = kIterations;

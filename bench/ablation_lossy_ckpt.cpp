@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "apps/pagerank_resilient.h"
 #include "apps/workloads.h"
 #include "bench_util.h"
-#include "obs/json_util.h"
 #include "resilient/app_resilient_store.h"
 
 namespace {
@@ -48,7 +46,6 @@ using rgml::apgas::Runtime;
 using rgml::framework::ExecutorConfig;
 using rgml::framework::ResilientExecutor;
 using rgml::framework::RestoreMode;
-using rgml::obs::jsonNumber;
 using rgml::resilient::AppResilientStore;
 using rgml::resilient::CheckpointMode;
 using rgml::resilient::LossyConfig;
@@ -176,37 +173,26 @@ std::string cellKey(const Cell& c) {
 
 bool writeBench(const std::string& path, const std::vector<Cell>& cells,
                 std::size_t jobs, double wallSeconds) {
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  os << "{\n  \"lossy_ablation\": {\n    \"deterministic\": {\n";
-  for (const Cell& c : cells) {
-    os << "      \"" << cellKey(c) << "\": {\n"
-       << "        \"fresh_mb_per_checkpoint\": "
-       << jsonNumber(c.freshMBPerCkpt) << ",\n"
-       << "        \"stored_mb\": " << jsonNumber(c.storedMB) << ",\n"
-       << "        \"checkpoint_ms\": " << jsonNumber(c.checkpointMs) << ",\n"
-       << "        \"recovered\": " << c.recovered << "\n      },\n";
-  }
-  os << "      \"reconverge\": {\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    os << "        \"" << cellKey(cells[i])
-       << "\": " << cells[i].reconverge
-       << (i + 1 < cells.size() ? "," : "") << '\n';
-  }
-  os << "      }\n    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
-     << "\n    }\n  }\n}\n";
-  return true;
-}
-
-std::string benchOut(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-out") == 0) return argv[i + 1];
-  }
-  return "BENCH_lossy.json";
+  using Layout = rgml::obs::JsonWriter::Layout;
+  return rgml::bench::writeBenchFile(
+      path, "lossy_ablation",
+      [&](rgml::obs::JsonWriter& w) {
+        for (const Cell& c : cells) {
+          w.key(cellKey(c))
+              .beginObject(Layout::Lines)
+              .member("fresh_mb_per_checkpoint", c.freshMBPerCkpt)
+              .member("stored_mb", c.storedMB)
+              .member("checkpoint_ms", c.checkpointMs)
+              .member("recovered", c.recovered)
+              .end();
+        }
+        w.key("reconverge").beginObject(Layout::Lines);
+        for (const Cell& c : cells) w.member(cellKey(c), c.reconverge);
+        w.end();
+      },
+      [&](rgml::obs::JsonWriter& w) {
+        w.member("jobs", jobs).member("wall_seconds", wallSeconds);
+      });
 }
 
 }  // namespace
@@ -252,7 +238,7 @@ int main(int argc, char** argv) {
   const double wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
-  const std::string out = benchOut(argc, argv);
+  const std::string out = bench::benchOut(argc, argv, "BENCH_lossy.json");
   if (out != "none" && !writeBench(out, cells, jobs, wallSeconds)) return 1;
 
   bool lossyWinsSomewhere = false;

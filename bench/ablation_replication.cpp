@@ -19,7 +19,6 @@
 // machine-dependent fields its tolerances ignore.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "apps/pagerank_resilient.h"
 #include "apps/workloads.h"
 #include "bench_util.h"
-#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "resilient/app_resilient_store.h"
@@ -43,7 +41,6 @@ using rgml::apgas::Runtime;
 using rgml::framework::ExecutorConfig;
 using rgml::framework::ResilientExecutor;
 using rgml::framework::RestoreMode;
-using rgml::obs::jsonNumber;
 using rgml::resilient::AppResilientStore;
 using rgml::resilient::CheckpointMode;
 
@@ -141,36 +138,24 @@ Cell measureCell(const char* name, const Config& config, int k) {
 
 bool writeBench(const std::string& path, const std::vector<Cell>& cells,
                 std::size_t jobs, double wallSeconds) {
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  os << "{\n  \"replication_ablation\": {\n    \"deterministic\": {\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    os << "      \"" << c.app << ".k" << c.k << "\": {\n"
-       << "        \"replica_mb_per_checkpoint\": "
-       << jsonNumber(c.replicaMBPerCkpt) << ",\n"
-       << "        \"payload_mb_per_checkpoint\": "
-       << jsonNumber(c.payloadMBPerCkpt) << ",\n"
-       << "        \"checkpoint_ms\": " << jsonNumber(c.checkpointMs) << ",\n"
-       << "        \"survives_k_minus_1_simultaneous_kills\": "
-       << c.survivesKMinus1 << ",\n"
-       << "        \"fatal_at_k_simultaneous_kills\": " << c.fatalAtK
-       << "\n      }" << (i + 1 < cells.size() ? "," : "") << '\n';
-  }
-  os << "    },\n    \"wall\": {\n      \"jobs\": " << jobs
-     << ",\n      \"wall_seconds\": " << jsonNumber(wallSeconds)
-     << "\n    }\n  }\n}\n";
-  return true;
-}
-
-std::string benchOut(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-out") == 0) return argv[i + 1];
-  }
-  return "BENCH_replication.json";
+  return rgml::bench::writeBenchFile(
+      path, "replication_ablation",
+      [&](rgml::obs::JsonWriter& w) {
+        for (const Cell& c : cells) {
+          w.key(c.app + ".k" + std::to_string(c.k))
+              .beginObject(rgml::obs::JsonWriter::Layout::Lines)
+              .member("replica_mb_per_checkpoint", c.replicaMBPerCkpt)
+              .member("payload_mb_per_checkpoint", c.payloadMBPerCkpt)
+              .member("checkpoint_ms", c.checkpointMs)
+              .member("survives_k_minus_1_simultaneous_kills",
+                      c.survivesKMinus1)
+              .member("fatal_at_k_simultaneous_kills", c.fatalAtK)
+              .end();
+        }
+      },
+      [&](rgml::obs::JsonWriter& w) {
+        w.member("jobs", jobs).member("wall_seconds", wallSeconds);
+      });
 }
 
 }  // namespace
@@ -217,7 +202,8 @@ int main(int argc, char** argv) {
   const double wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
-  const std::string out = benchOut(argc, argv);
+  const std::string out =
+      bench::benchOut(argc, argv, "BENCH_replication.json");
   if (out != "none" && !writeBench(out, cells, jobs, wallSeconds)) return 1;
 
   for (const Cell& c : cells) {

@@ -40,7 +40,6 @@
 //     analogue measured on real threads.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -48,27 +47,20 @@
 #include <vector>
 
 #include "apgas/runtime.h"
+#include "bench_util.h"
 #include "harness/report.h"
 #include "harness/sweeper.h"
 #include "la/kernels.h"
 #include "la/rand.h"
-#include "obs/json_util.h"
 
 namespace {
 
 using namespace rgml;
-using obs::jsonNumber;
 using apgas::Backend;
 using apgas::Place;
 using apgas::PlaceGroup;
 using apgas::Runtime;
 using apgas::RuntimeConfig;
-
-double wallMs(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct FanOutMs {
   double best = 0.0;    ///< the scaling verdict's estimator
@@ -88,12 +80,12 @@ FanOutMs fanOutMs(int places, int reps,
   const PlaceGroup pg =
       PlaceGroup::firstPlaces(static_cast<std::size_t>(places));
   const auto warm = std::chrono::steady_clock::now();
-  while (wallMs(warm) < 1000.0) apgas::ateach(pg, body);
+  while (bench::wallMs(warm) < 1000.0) apgas::ateach(pg, body);
   std::vector<double> ms;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     apgas::ateach(pg, body);
-    ms.push_back(wallMs(t0));
+    ms.push_back(bench::wallMs(t0));
   }
   std::sort(ms.begin(), ms.end());
   return {ms.front(), ms[ms.size() / 2]};
@@ -165,17 +157,9 @@ FinishProbe finishProbe(Backend backend, int places, bool resilient,
     apgas::ateach(pg, [](Place) {});
   }
   FinishProbe probe;
-  probe.usPerFinish = wallMs(t0) * 1000.0 / reps;
+  probe.usPerFinish = bench::wallMs(t0) * 1000.0 / reps;
   probe.bookkeepingPerFinish = rt.stats().bookkeepingMsgs / reps;
   return probe;
-}
-
-const char* reconvBucket(long iters) {
-  if (iters < 0) return "n/a";
-  if (iters == 0) return "0";
-  if (iters <= 2) return "1-2";
-  if (iters <= 8) return "3-8";
-  return ">8";
 }
 
 }  // namespace
@@ -252,63 +236,55 @@ int main(int argc, char** argv) {
   const harness::ScenarioOutcome restore =
       sweeper.runScenario(harness::AppKind::LinReg, schedule);
 
-  std::ofstream out(benchOut);
-  if (!out) {
-    std::cerr << "cannot write " << benchOut << '\n';
-    return 2;
-  }
-  out << "{\n  \"backend_bench\": {\n    \"deterministic\": {\n";
-  for (const Curve& c : curves) {
-    out << "      \"bookkeeping_per_finish_p" << c.places
-        << ".simulated\": " << c.simulatedResilient.bookkeepingPerFinish
-        << ",\n      \"bookkeeping_per_finish_p" << c.places
-        << ".threads\": " << c.resilient.bookkeepingPerFinish
-        << ",\n      \"bookkeeping_per_finish_p" << c.places
-        << ".match\": "
-        << (c.resilient.bookkeepingPerFinish ==
-                    c.simulatedResilient.bookkeepingPerFinish
-                ? 1
-                : 0)
-        << ",\n";
-  }
-  out << "      \"gemm_scaling_ok\": " << (gemmOk ? 1 : 0) << ",\n"
-      << "      \"spmm_scaling_ok\": " << (spmmOk ? 1 : 0) << ",\n"
-      << "      \"restore.outcome\": \"" << harness::toString(restore.kind)
-      << "\",\n"
-      << "      \"restore.failures_handled\": " << restore.failuresHandled
-      << ",\n"
-      << "      \"restore.restored_to\": " << restore.restoredTo << ",\n"
-      << "      \"restore.reconverge_bucket\": \""
-      << reconvBucket(restore.reconvergeIterations) << "\"\n"
-      << "    },\n    \"wall\": {\n"
-      << "      \"hw_threads\": " << hw << ",\n"
-      << "      \"gemm_ms_p1\": " << jsonNumber(gemm1.best) << ",\n"
-      << "      \"gemm_ms_p2\": " << jsonNumber(gemm2.best) << ",\n"
-      << "      \"gemm_ms_p4\": " << jsonNumber(gemm4.best) << ",\n"
-      << "      \"gemm_speedup_p2\": " << jsonNumber(gemmSpeedup2) << ",\n"
-      << "      \"gemm_speedup_p4\": " << jsonNumber(gemmSpeedup4) << ",\n"
-      << "      \"gemm_median_ms_p1\": " << jsonNumber(gemm1.median) << ",\n"
-      << "      \"gemm_median_ms_p4\": " << jsonNumber(gemm4.median) << ",\n"
-      << "      \"gemm_median_speedup_p4\": "
-      << jsonNumber(speedup(gemm1.median, gemm4.median)) << ",\n"
-      << "      \"spmm_ms_p1\": " << jsonNumber(spmm1.best) << ",\n"
-      << "      \"spmm_ms_p2\": " << jsonNumber(spmm2.best) << ",\n"
-      << "      \"spmm_ms_p4\": " << jsonNumber(spmm4.best) << ",\n"
-      << "      \"spmm_speedup_p2\": " << jsonNumber(spmmSpeedup2) << ",\n"
-      << "      \"spmm_speedup_p4\": " << jsonNumber(spmmSpeedup4) << ",\n"
-      << "      \"spmm_median_ms_p1\": " << jsonNumber(spmm1.median) << ",\n"
-      << "      \"spmm_median_ms_p4\": " << jsonNumber(spmm4.median) << ",\n"
-      << "      \"spmm_median_speedup_p4\": "
-      << jsonNumber(speedup(spmm1.median, spmm4.median)) << ",\n";
-  for (const Curve& c : curves) {
-    out << "      \"finish_us_p" << c.places
-        << ".plain\": " << jsonNumber(c.plain.usPerFinish) << ",\n"
-        << "      \"finish_us_p" << c.places
-        << ".resilient\": " << jsonNumber(c.resilient.usPerFinish) << ",\n";
-  }
-  out << "      \"restore_ms\": " << jsonNumber(restore.restoreMs) << ",\n"
-      << "      \"total_ms\": " << jsonNumber(restore.totalMs) << "\n"
-      << "    }\n  }\n}\n";
+  const bool written = bench::writeBenchFile(
+      benchOut, "backend_bench",
+      [&](obs::JsonWriter& w) {
+        for (const Curve& c : curves) {
+          const std::string key =
+              "bookkeeping_per_finish_p" + std::to_string(c.places);
+          const long sim = c.simulatedResilient.bookkeepingPerFinish;
+          const long threads = c.resilient.bookkeepingPerFinish;
+          w.member(key + ".simulated", sim)
+              .member(key + ".threads", threads)
+              .member(key + ".match", threads == sim ? 1 : 0);
+        }
+        w.member("gemm_scaling_ok", gemmOk ? 1 : 0)
+            .member("spmm_scaling_ok", spmmOk ? 1 : 0)
+            .member("restore.outcome", harness::toString(restore.kind))
+            .member("restore.failures_handled", restore.failuresHandled)
+            .member("restore.restored_to", restore.restoredTo)
+            .member("restore.reconverge_bucket",
+                    harness::reconvergenceBucket(restore.reconvergeIterations));
+      },
+      [&](obs::JsonWriter& w) {
+        w.member("hw_threads", hw)
+            .member("gemm_ms_p1", gemm1.best)
+            .member("gemm_ms_p2", gemm2.best)
+            .member("gemm_ms_p4", gemm4.best)
+            .member("gemm_speedup_p2", gemmSpeedup2)
+            .member("gemm_speedup_p4", gemmSpeedup4)
+            .member("gemm_median_ms_p1", gemm1.median)
+            .member("gemm_median_ms_p4", gemm4.median)
+            .member("gemm_median_speedup_p4",
+                    speedup(gemm1.median, gemm4.median))
+            .member("spmm_ms_p1", spmm1.best)
+            .member("spmm_ms_p2", spmm2.best)
+            .member("spmm_ms_p4", spmm4.best)
+            .member("spmm_speedup_p2", spmmSpeedup2)
+            .member("spmm_speedup_p4", spmmSpeedup4)
+            .member("spmm_median_ms_p1", spmm1.median)
+            .member("spmm_median_ms_p4", spmm4.median)
+            .member("spmm_median_speedup_p4",
+                    speedup(spmm1.median, spmm4.median));
+        for (const Curve& c : curves) {
+          const std::string key = "finish_us_p" + std::to_string(c.places);
+          w.member(key + ".plain", c.plain.usPerFinish)
+              .member(key + ".resilient", c.resilient.usPerFinish);
+        }
+        w.member("restore_ms", restore.restoreMs)
+            .member("total_ms", restore.totalMs);
+      });
+  if (!written) return 2;
 
   std::cout << "gemm 1->4 places: " << gemmSpeedup4 << "x, spmm: "
             << spmmSpeedup4 << "x (hw_threads=" << hw << ")\n"

@@ -51,27 +51,20 @@
 #include <vector>
 
 #include "apgas/runtime.h"
+#include "bench_util.h"
 #include "la/kernels.h"
 #include "la/rand.h"
 #include "obs/analysis/flight_report.h"
 #include "obs/analysis/json.h"
-#include "obs/json_util.h"
 
 namespace {
 
 using namespace rgml;
-using obs::jsonNumber;
 using apgas::Backend;
 using apgas::Place;
 using apgas::PlaceGroup;
 using apgas::Runtime;
 using apgas::RuntimeConfig;
-
-double wallMs(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 constexpr int kAbPlaces = 4;
 /// World pairs per A/B: the guest places each world's threads on the
@@ -101,7 +94,7 @@ double timedIn(std::unique_ptr<Runtime>& world, const Block& block) {
   Runtime::attach(std::move(world));
   const auto t0 = std::chrono::steady_clock::now();
   block();
-  const double ms = wallMs(t0);
+  const double ms = bench::wallMs(t0);
   world = Runtime::detach();
   return ms;
 }
@@ -149,7 +142,7 @@ AbResult recorderAb(bool resilient, int pairs, const Block& block) {
       withRecorder = parkedWorld(true, resilient);
     }
     const auto warm0 = std::chrono::steady_clock::now();
-    while (wallMs(warm0) < kWarmupMs) {
+    while (bench::wallMs(warm0) < kWarmupMs) {
       timedIn(withRecorder, block);
       timedIn(without, block);
     }
@@ -313,51 +306,43 @@ int main(int argc, char** argv) {
     flight << curves.back().dump << '\n';
   }
 
-  std::ofstream out(benchOut);
-  if (!out) {
-    std::cerr << "cannot write " << benchOut << '\n';
-    return 2;
-  }
-  out << "{\n  \"flight_bench\": {\n    \"deterministic\": {\n"
-      << "      \"overhead_ok\": " << (overheadOk ? 1 : 0) << ",\n";
-  for (const AckCurve& c : curves) {
-    out << "      \"ack_samples_p" << c.places
-        << ".place0\": " << c.place0Samples << ",\n"
-        << "      \"ack_samples_p" << c.places
-        << ".others\": " << c.otherSamples << ",\n"
-        << "      \"ack_dropped_p" << c.places << "\": " << c.dropped
-        << (c.places == 8 ? "\n" : ",\n");
-  }
-  out << "    },\n    \"wall\": {\n"
-      << "      \"hw_threads\": " << hw << ",\n";
-  for (const auto& [name, ab] : {std::pair{"finish", finish},
-                                 std::pair{"gemm", gemm}}) {
-    out << "      \"" << name << "_ms_on\": " << jsonNumber(ab.onMs) << ",\n"
-        << "      \"" << name << "_ms_off\": " << jsonNumber(ab.offMs) << ",\n"
-        << "      \"" << name << "_ratio\": " << jsonNumber(ab.ratio) << ",\n"
-        << "      \"" << name << "_ratio_q25\": " << jsonNumber(ab.ratioQ25)
-        << ",\n"
-        << "      \"" << name << "_ratio_q75\": " << jsonNumber(ab.ratioQ75)
-        << ",\n"
-        << "      \"" << name << "_pairs\": " << ab.pairs << ",\n";
-  }
-  for (const AckCurve& c : curves) {
-    const auto& pt = c.point;
-    const bool ge = pt.place0P50Us >= pt.othersMaxP50Us &&
-                    pt.place0P99Us >= pt.othersMaxP99Us;
-    out << "      \"ack_p" << c.places
-        << ".place0_p50_us\": " << jsonNumber(pt.place0P50Us) << ",\n"
-        << "      \"ack_p" << c.places
-        << ".place0_p99_us\": " << jsonNumber(pt.place0P99Us) << ",\n"
-        << "      \"ack_p" << c.places
-        << ".others_max_p50_us\": " << jsonNumber(pt.othersMaxP50Us) << ",\n"
-        << "      \"ack_p" << c.places
-        << ".others_max_p99_us\": " << jsonNumber(pt.othersMaxP99Us) << ",\n"
-        << "      \"ack_p" << c.places << ".place0_ge_others\": "
-        << (ge ? 1 : 0) << ",\n";
-  }
-  out << "      \"watchdog_verdicts_p8\": " << curves.back().verdicts
-      << "\n    }\n  }\n}\n";
+  const bool written = bench::writeBenchFile(
+      benchOut, "flight_bench",
+      [&](obs::JsonWriter& w) {
+        w.member("overhead_ok", overheadOk ? 1 : 0);
+        for (const AckCurve& c : curves) {
+          const std::string p = "_p" + std::to_string(c.places);
+          w.member("ack_samples" + p + ".place0", c.place0Samples)
+              .member("ack_samples" + p + ".others", c.otherSamples)
+              .member("ack_dropped" + p, c.dropped);
+        }
+      },
+      [&](obs::JsonWriter& w) {
+        w.member("hw_threads", hw);
+        for (const auto& [name, ab] : {std::pair{"finish", finish},
+                                       std::pair{"gemm", gemm}}) {
+          const std::string n = name;
+          w.member(n + "_ms_on", ab.onMs)
+              .member(n + "_ms_off", ab.offMs)
+              .member(n + "_ratio", ab.ratio)
+              .member(n + "_ratio_q25", ab.ratioQ25)
+              .member(n + "_ratio_q75", ab.ratioQ75)
+              .member(n + "_pairs", ab.pairs);
+        }
+        for (const AckCurve& c : curves) {
+          const auto& pt = c.point;
+          const bool ge = pt.place0P50Us >= pt.othersMaxP50Us &&
+                          pt.place0P99Us >= pt.othersMaxP99Us;
+          const std::string key = "ack_p" + std::to_string(c.places);
+          w.member(key + ".place0_p50_us", pt.place0P50Us)
+              .member(key + ".place0_p99_us", pt.place0P99Us)
+              .member(key + ".others_max_p50_us", pt.othersMaxP50Us)
+              .member(key + ".others_max_p99_us", pt.othersMaxP99Us)
+              .member(key + ".place0_ge_others", ge ? 1 : 0);
+        }
+        w.member("watchdog_verdicts_p8", curves.back().verdicts);
+      });
+  if (!written) return 2;
 
   std::cout << "recorder overhead: finish " << finish.ratio << "x, gemm "
             << gemm.ratio << "x (budget 1.05, hw_threads=" << hw << ")\n";

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +25,9 @@
 #include "apgas/runtime.h"
 #include "apps/workloads.h"
 #include "framework/resilient_executor.h"
+#include "harness/cli.h"
 #include "harness/job_pool.h"
+#include "harness/report.h"
 #include "obs/chrome_trace.h"
 #include "obs/trace_sink.h"
 
@@ -37,13 +41,19 @@ namespace rgml::bench {
 // output is byte-identical to the serial loop at any job count.
 
 /// Worker threads for a bench driver: `--jobs N` argument, else the
-/// RGML_JOBS environment variable, else all hardware threads.
+/// RGML_JOBS environment variable, else all hardware threads. A `--jobs`
+/// value that is missing, not a whole number or below 1 exits 2 with a
+/// message naming the flag.
 inline std::size_t benchJobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      const long n = std::atol(argv[i + 1]);
-      if (n >= 1) return static_cast<std::size_t>(n);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") != 0) continue;
+    const long n =
+        harness::cli::requireLong("--jobs", i + 1 < argc ? argv[i + 1] : "");
+    if (n < 1) {
+      std::fprintf(stderr, "--jobs must be >= 1\n");
+      std::exit(2);
     }
+    return static_cast<std::size_t>(n);
   }
   if (const char* env = std::getenv("RGML_JOBS")) {
     const long n = std::atol(env);
@@ -52,20 +62,45 @@ inline std::size_t benchJobs(int argc, char** argv) {
   return harness::defaultJobCount();
 }
 
+/// The argument after `flag` (e.g. "--bench-out"), or `dflt` when the
+/// flag is absent.
+inline std::string benchFlag(int argc, char** argv, const char* flag,
+                             std::string dflt) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+  }
+  return dflt;
+}
+
 /// --trace-out FILE argument for a bench driver; empty = tracing off.
 inline std::string benchTraceOut(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0) return argv[i + 1];
-  }
-  return {};
+  return benchFlag(argc, argv, "--trace-out", {});
 }
 
 /// --metrics-out FILE argument; empty = metrics export off.
 inline std::string benchMetricsOut(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0) return argv[i + 1];
+  return benchFlag(argc, argv, "--metrics-out", {});
+}
+
+/// --bench-out FILE argument, else `dflt`; the value "none" means the
+/// driver writes no BENCH file.
+inline std::string benchOut(int argc, char** argv, std::string dflt) {
+  return benchFlag(argc, argv, "--bench-out", std::move(dflt));
+}
+
+/// Write the BENCH_*.json artifact `path` (harness::writeBenchJson's
+/// {"<name>": {"deterministic": {...}, "wall": {...}}} wrapper). Prints
+/// "cannot write PATH" and returns false when the file cannot be opened.
+inline bool writeBenchFile(const std::string& path, std::string_view name,
+                           const harness::JsonMembers& deterministic,
+                           const harness::JsonMembers& wall) {
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
   }
-  return {};
+  harness::writeBenchJson(os, name, deterministic, wall);
+  return true;
 }
 
 /// Per-driver capture for --trace-out / --metrics-out: each traced() call
@@ -150,6 +185,13 @@ class BenchTracer {
   std::vector<obs::TraceLane> lanes_;
   std::vector<std::pair<std::string, obs::MetricsRegistry>> registries_;
 };
+
+/// Wall-clock milliseconds since `t0`.
+inline double wallMs(const std::chrono::steady_clock::time_point& t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 /// printf into a std::string (rows are formatted off-thread, then printed
 /// in index order by sweepRows).

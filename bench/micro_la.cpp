@@ -8,13 +8,12 @@
 // tolerance, since kernel times vary run-to-run and machine-to-machine).
 #include <benchmark/benchmark.h>
 
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "la/kernels.h"
 #include "la/rand.h"
 
@@ -237,19 +236,15 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  std::ofstream out(benchOut);
-  if (!out) {
-    std::cerr << "cannot write " << benchOut << '\n';
-    return 1;
-  }
-  out << "{\n  \"micro_la\": {\n    \"deterministic\": {\n"
-      << "      \"benchmarks_run\": " << reporter.results.size()
-      << "\n    },\n    \"wall\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, ns] : reporter.results) {
-    out << "      \"" << name << ".real_ns\": " << ns
-        << (++i < reporter.results.size() ? "," : "") << '\n';
-  }
-  out << "    }\n  }\n}\n";
-  return 0;
+  const bool written = rgml::bench::writeBenchFile(
+      benchOut, "micro_la",
+      [&](rgml::obs::JsonWriter& w) {
+        w.member("benchmarks_run", reporter.results.size());
+      },
+      [&](rgml::obs::JsonWriter& w) {
+        for (const auto& [name, ns] : reporter.results) {
+          w.member(name + ".real_ns", ns);
+        }
+      });
+  return written ? 0 : 1;
 }

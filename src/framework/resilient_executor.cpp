@@ -3,7 +3,6 @@
 #include <string>
 
 #include "apgas/runtime.h"
-#include "framework/trace.h"
 #include "obs/trace_sink.h"
 
 namespace rgml::framework {
@@ -42,7 +41,7 @@ bool isDeadPlaceFailure(const std::exception_ptr& ep) {
   }
 }
 
-/// The failing place named by the exception (for trace records).
+/// The failing place named by the exception (for the failure span).
 apgas::PlaceId firstDeadPlaceOf(const std::exception_ptr& ep) {
   try {
     std::rethrow_exception(ep);
@@ -102,19 +101,6 @@ RunStats ResilientExecutor::run(ResilientIterativeApp& app,
   long iter = 0;  // completed logical iterations
   restoreAttempts_ = 0;
 
-  auto record = [&](TraceEvent::Kind kind, long iteration, double start,
-                    double end, apgas::PlaceId victim = apgas::kInvalidPlace) {
-    if (config_.trace == nullptr) return;
-    TraceEvent event;
-    event.kind = kind;
-    event.iteration = iteration;
-    event.startTime = start;
-    event.endTime = end;
-    event.victim = victim;
-    event.mode = config_.mode;
-    config_.trace->record(event);
-  };
-
   obs::TraceSink* sink = obs::TraceSink::current();
   const char* modeName = toString(config_.mode);
   // Step/checkpoint durations in the paper's range: 0.1 ms .. 10 s.
@@ -146,7 +132,6 @@ RunStats ResilientExecutor::run(ResilientIterativeApp& app,
                               rt.time() - s0);
         }
       }
-      record(TraceEvent::Kind::Step, iter + 1, s0, rt.time());
       ++stats.stepsExecuted;
       ++iter;
       if (config_.iterationHook) {
@@ -178,7 +163,6 @@ RunStats ResilientExecutor::run(ResilientIterativeApp& app,
           sink->observeMetric("executor.checkpoint_seconds",
                               kSecondsBuckets, rt.time() - c0);
         }
-        record(TraceEvent::Kind::Checkpoint, iter, c0, rt.time());
         stats.checkpointTime += rt.time() - c0;
         ++stats.checkpointsTaken;
       }
@@ -204,7 +188,6 @@ RunStats ResilientExecutor::run(ResilientIterativeApp& app,
           restoreSpan = sink->open(obs::Category::Restore, "restore", iter,
                                    rt.here().id(), r0);
         }
-        record(TraceEvent::Kind::Failure, iter, r0, r0, victim);
         iter = handleFailure(app, injector, iter);
         stats.lastRestoredTo = iter;
         if (sink != nullptr) {
@@ -217,7 +200,6 @@ RunStats ResilientExecutor::run(ResilientIterativeApp& app,
                               rt.time() - r0);
         }
       }
-      record(TraceEvent::Kind::Restore, iter, r0, rt.time(), victim);
       stats.restoreTime += rt.time() - r0;
       ++stats.failuresHandled;
       if (config_.checkpointAfterRestore) {

@@ -38,8 +38,6 @@
 
 namespace rgml::framework {
 
-class ExecutionTrace;
-
 enum class RestoreMode {
   Shrink,
   ShrinkRebalance,
@@ -133,11 +131,6 @@ struct ExecutorConfig {
   /// 2 — the paper's double in-memory storage.
   int replication = 2;
 
-  /// Optional event sink: every step/checkpoint/failure/restore is
-  /// recorded with its simulated time interval (see framework/trace.h).
-  /// Not owned; must outlive the run.
-  ExecutionTrace* trace = nullptr;
-
   /// Hard bound on total step() calls (including re-executed ones after a
   /// rollback); 0 = unlimited. When exceeded the executor throws
   /// StepBudgetExceeded — the chaos harness uses this to flag a fault
@@ -188,6 +181,16 @@ class ResilientExecutor {
   /// identically. Throws if recovery is impossible (no committed
   /// checkpoint, place 0 involved, snapshot data lost, or too many
   /// cascading failures).
+  ///
+  /// With an obs::TraceSink installed on the calling thread, the run's
+  /// event record is its top-level (depth-0) spans: one "step" (category
+  /// Step) per step() call and one "checkpoint" (CheckpointSave) per
+  /// checkpoint, each annotated with the mode; a step or checkpoint that
+  /// a failure interrupts is closed with {"aborted", "true"}. Each
+  /// handled failure adds a "failure" instant (Kill) at the victim place
+  /// with "victim" and "mode", then a "restore" span (Restore) with
+  /// "mode", "victim" and "restored_to" (the iteration the run resumes
+  /// from).
   RunStats run(ResilientIterativeApp& app,
                apgas::FaultInjector* injector = nullptr);
 

@@ -3,26 +3,12 @@
 #include <sstream>
 
 #include "obs/analysis/attribution.h"
-#include "obs/json_util.h"
 
 namespace rgml::harness {
 
 namespace {
 
-using obs::jsonEscape;
-using obs::jsonNumber;
-
-/// One compact line per span for the divergence trace tails.
-std::string spanLine(const obs::Span& s) {
-  std::ostringstream os;
-  os << '[' << jsonNumber(s.startTime) << "s.." << jsonNumber(s.endTime)
-     << "s] " << obs::toString(s.category) << ' ' << s.name;
-  if (s.iteration >= 0) os << " iter=" << s.iteration;
-  if (s.place >= 0) os << " p" << s.place;
-  if (s.bytes > 0) os << " bytes=" << s.bytes;
-  for (const auto& [key, value] : s.args) os << ' ' << key << '=' << value;
-  return os.str();
-}
+using Layout = obs::JsonWriter::Layout;
 
 /// How many trailing spans a divergence entry quotes. Enough to show the
 /// failing step, the restore that preceded it, and the checkpoint context
@@ -32,55 +18,69 @@ constexpr std::size_t kTraceTailSpans = 32;
 
 /// Compact per-scenario attribution summary (self-time seconds and
 /// percentages per bucket) for the "attribution" report field.
-void writeAttributionSummary(
-    std::ostream& os, const obs::analysis::AttributionReport& a) {
+void writeAttributionSummary(obs::JsonWriter& w,
+                             const obs::analysis::AttributionReport& a) {
   auto buckets = [&](const char* key,
                      const std::vector<obs::analysis::AttributionBucket>&
                          list) {
-    os << '"' << key << "\": [";
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      os << (i ? ", " : "") << "{\"key\": \"" << jsonEscape(list[i].key)
-         << "\", \"seconds\": " << jsonNumber(list[i].selfSeconds)
-         << ", \"pct\": " << jsonNumber(list[i].pct) << '}';
+    w.key(key).beginArray();
+    for (const obs::analysis::AttributionBucket& b : list) {
+      w.beginObject()
+          .member("key", b.key)
+          .member("seconds", b.selfSeconds)
+          .member("pct", b.pct)
+          .end();
     }
-    os << ']';
+    w.end();
   };
-  os << "{\"total_seconds\": " << jsonNumber(a.totalSeconds) << ", ";
+  w.beginObject().member("total_seconds", a.totalSeconds);
   buckets("by_phase", a.byPhase);
-  os << ", ";
   buckets("by_category", a.byCategory);
-  os << '}';
+  w.end();
+}
+
+/// The members that name a scenario in every per-scenario entry.
+void writeScenarioName(obs::JsonWriter& w, const ScenarioOutcome& o) {
+  w.member("app", toString(o.app))
+      .member("mode", toString(o.schedule.mode))
+      .member("schedule", o.schedule.describe())
+      .member("kind", toString(o.kind));
+}
+
+void writeWorstRestore(obs::JsonWriter& w, const SweepResult& result) {
+  w.key("worst_restore_ms").beginObject();
+  for (const auto& [mode, ms] : result.worstRestoreMs) w.member(mode, ms);
+  w.end();
+}
+
+obs::MetricsRegistry foldedMetrics(const SweepResult& result) {
+  obs::MetricsRegistry folded;
+  for (const ScenarioOutcome& o : result.outcomes) folded.merge(o.metrics);
+  return folded;
 }
 
 }  // namespace
 
 void writeJsonReport(const SweepResult& result, std::ostream& os) {
   const SweepOptions& opt = result.options;
-  os << "{\n  \"chaos_sweep\": {\n";
-
-  os << "    \"apps\": [";
-  for (std::size_t i = 0; i < opt.apps.size(); ++i) {
-    os << (i ? ", " : "") << '"' << toString(opt.apps[i]) << '"';
-  }
-  os << "],\n    \"modes\": [";
-  for (std::size_t i = 0; i < opt.modes.size(); ++i) {
-    os << (i ? ", " : "") << '"' << toString(opt.modes[i]) << '"';
-  }
-  os << "],\n";
-  os << "    \"iterations\": " << opt.iterations << ",\n";
-  os << "    \"places\": " << opt.places << ",\n";
-  os << "    \"spares\": " << opt.spares << ",\n";
-  os << "    \"checkpoint_interval\": " << opt.checkpointInterval << ",\n";
-  os << "    \"replication\": " << opt.replication << ",\n";
-  os << "    \"checkpoint_mode\": \""
-     << resilient::toString(opt.checkpointMode) << "\",\n";
+  obs::JsonWriter w(os);
+  w.beginObject(Layout::Lines).key("chaos_sweep").beginObject(Layout::Lines);
+  w.key("apps").beginArray();
+  for (const AppKind app : opt.apps) w.value(toString(app));
+  w.end().key("modes").beginArray();
+  for (const framework::RestoreMode mode : opt.modes) w.value(toString(mode));
+  w.end()
+      .member("iterations", opt.iterations)
+      .member("places", opt.places)
+      .member("spares", opt.spares)
+      .member("checkpoint_interval", opt.checkpointInterval)
+      .member("replication", opt.replication)
+      .member("checkpoint_mode", resilient::toString(opt.checkpointMode));
   if (resilient::usesLossy(opt.checkpointMode)) {
-    os << "    \"lossy_error_bound\": " << jsonNumber(opt.lossyErrorBound)
-       << ",\n";
-    os << "    \"lossy_tolerance\": " << jsonNumber(opt.lossyTolerance)
-       << ",\n";
+    w.member("lossy_error_bound", opt.lossyErrorBound)
+        .member("lossy_tolerance", opt.lossyTolerance);
   }
-  os << "    \"tolerance\": " << jsonNumber(opt.tolerance) << ",\n";
+  w.member("tolerance", opt.tolerance);
 
   long ok = 0;
   long unrecoverable = 0;
@@ -88,74 +88,57 @@ void writeJsonReport(const SweepResult& result, std::ostream& os) {
     if (o.kind == OutcomeKind::Ok) ++ok;
     if (o.kind == OutcomeKind::Unrecoverable) ++unrecoverable;
   }
-  os << "    \"scenarios_run\": " << result.scenariosRun << ",\n";
-  os << "    \"ok\": " << ok << ",\n";
-  os << "    \"unrecoverable_by_design\": " << unrecoverable << ",\n";
+  w.member("scenarios_run", result.scenariosRun)
+      .member("ok", ok)
+      .member("unrecoverable_by_design", unrecoverable);
 
-  os << "    \"divergences\": [";
-  for (std::size_t i = 0; i < result.failures.size(); ++i) {
-    const ScenarioOutcome& f = result.failures[i];
-    os << (i ? "," : "") << "\n      {\"app\": \"" << toString(f.app)
-       << "\", \"mode\": \"" << toString(f.schedule.mode)
-       << "\", \"schedule\": \"" << jsonEscape(f.schedule.describe())
-       << "\", \"kind\": \"" << toString(f.kind) << "\", \"detail\": \""
-       << jsonEscape(f.detail) << "\", \"first_divergent_iteration\": "
-       << f.firstDivergentIteration << ", \"minimal_reproducer\": \""
-       << jsonEscape(f.minimalReproducer.describe())
-       << "\", \"injector_setup\": \"" << jsonEscape(f.reproducerSetup)
-       << '"';
+  w.key("divergences").beginArray(Layout::Lines);
+  for (const ScenarioOutcome& f : result.failures) {
+    w.beginObject();
+    writeScenarioName(w, f);
+    w.member("detail", f.detail)
+        .member("first_divergent_iteration", f.firstDivergentIteration)
+        .member("minimal_reproducer", f.minimalReproducer.describe())
+        .member("injector_setup", f.reproducerSetup);
     if (!f.spans.empty()) {
-      os << ", \"trace_tail\": [";
+      w.key("trace_tail").beginArray();
       const std::size_t start =
           f.spans.size() > kTraceTailSpans ? f.spans.size() - kTraceTailSpans
                                            : 0;
       for (std::size_t j = start; j < f.spans.size(); ++j) {
-        os << (j > start ? ", " : "") << '"' << jsonEscape(spanLine(f.spans[j]))
-           << '"';
+        w.value(obs::spanLine(f.spans[j]));
       }
-      os << ']';
+      w.end();
     }
     if (!f.flightDump.empty()) {
       // Raw splice: the dump is itself a JSON document of the shape
       // {"flight": {...}}, so the entry's "flight" value feeds straight
       // into analyzeFlight / tools/flight_report.
-      os << ", \"flight\": " << f.flightDump;
+      w.key("flight").raw(f.flightDump);
     }
-    os << '}';
+    w.end();
   }
-  os << (result.failures.empty() ? "" : "\n    ") << "],\n";
+  w.end();
+  writeWorstRestore(w, result);
 
-  os << "    \"worst_restore_ms\": {";
-  bool first = true;
-  for (const auto& [mode, ms] : result.worstRestoreMs) {
-    os << (first ? "" : ", ") << '"' << mode << "\": " << jsonNumber(ms);
-    first = false;
-  }
-  os << "},\n";
-
-  os << "    \"scenarios\": [";
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const ScenarioOutcome& o = result.outcomes[i];
-    os << (i ? "," : "") << "\n      {\"app\": \"" << toString(o.app)
-       << "\", \"mode\": \"" << toString(o.schedule.mode)
-       << "\", \"schedule\": \"" << jsonEscape(o.schedule.describe())
-       << "\", \"kind\": \"" << toString(o.kind)
-       << "\", \"failures_handled\": " << o.failuresHandled
-       << ", \"restore_ms\": " << jsonNumber(o.restoreMs)
-       << ", \"total_ms\": " << jsonNumber(o.totalMs);
+  w.key("scenarios").beginArray(Layout::Lines);
+  for (const ScenarioOutcome& o : result.outcomes) {
+    w.beginObject();
+    writeScenarioName(w, o);
+    w.member("failures_handled", o.failuresHandled)
+        .member("restore_ms", o.restoreMs)
+        .member("total_ms", o.totalMs);
     if (o.reconvergeIterations >= 0) {
-      os << ", \"reconverge_iterations\": " << o.reconvergeIterations;
+      w.member("reconverge_iterations", o.reconvergeIterations);
     }
     if (!o.spans.empty()) {
-      os << ", \"attribution\": ";
-      writeAttributionSummary(os,
-                              obs::analysis::attributeSelfTime(o.spans));
+      w.key("attribution");
+      writeAttributionSummary(w, obs::analysis::attributeSelfTime(o.spans));
     }
-    os << "}";
+    w.end();
   }
-  os << (result.outcomes.empty() ? "" : "\n    ") << "]\n";
-
-  os << "  }\n}\n";
+  w.end().end().end();
+  os << '\n';
 }
 
 std::string toJson(const SweepResult& result) {
@@ -189,11 +172,7 @@ std::string toChromeTraceJson(const SweepResult& result) {
 }
 
 void writeMetricsJson(const SweepResult& result, std::ostream& os) {
-  obs::MetricsRegistry folded;
-  for (const ScenarioOutcome& o : result.outcomes) {
-    folded.merge(o.metrics);
-  }
-  folded.writeJson(os);
+  foldedMetrics(result).writeJson(os);
 }
 
 std::string toMetricsJson(const SweepResult& result) {
@@ -203,19 +182,31 @@ std::string toMetricsJson(const SweepResult& result) {
 }
 
 void writeFlightReport(const SweepResult& result, std::ostream& os) {
-  os << "{\"flight_report\": {\"backend\": \""
-     << apgas::toString(result.options.backend) << "\",\n  \"scenarios\": [";
-  bool first = true;
+  obs::JsonWriter w(os);
+  w.beginObject(Layout::Lines).key("flight_report").beginObject(Layout::Lines);
+  w.member("backend", apgas::toString(result.options.backend));
+  w.key("scenarios").beginArray(Layout::Lines);
   for (const ScenarioOutcome& o : result.outcomes) {
     if (o.flightDump.empty()) continue;
-    os << (first ? "\n" : ",\n") << "    {\"app\": \"" << toString(o.app)
-       << "\", \"mode\": \"" << toString(o.schedule.mode)
-       << "\", \"schedule\": \"" << jsonEscape(o.schedule.describe())
-       << "\", \"kind\": \"" << toString(o.kind)
-       << "\",\n     \"flight\": " << o.flightDump << "}";
-    first = false;
+    w.beginObject();
+    writeScenarioName(w, o);
+    w.key("flight").raw(o.flightDump).end();
   }
-  os << (first ? "]" : "\n  ]") << "}}\n";
+  w.end().end().end();
+  os << '\n';
+}
+
+void writeBenchJson(std::ostream& os, std::string_view name,
+                    const JsonMembers& deterministic,
+                    const JsonMembers& wall) {
+  obs::JsonWriter w(os);
+  w.beginObject(Layout::Lines).key(name).beginObject(Layout::Lines);
+  w.key("deterministic").beginObject(Layout::Lines);
+  deterministic(w);
+  w.end().key("wall").beginObject(Layout::Lines);
+  wall(w);
+  w.end().end().end();
+  os << '\n';
 }
 
 void writeBenchSummary(const SweepResult& result, std::ostream& os) {
@@ -231,38 +222,26 @@ void writeBenchSummary(const SweepResult& result, std::ostream& os) {
     restoreMs += o.restoreMs;
     haveMetrics = haveMetrics || !o.metrics.empty();
   }
-
-  os << "{\n  \"chaos_sweep_bench\": {\n    \"deterministic\": {\n"
-     << "      \"scenarios\": " << result.scenariosRun << ",\n"
-     << "      \"ok\": " << ok << ",\n"
-     << "      \"failures\": " << result.failures.size() << ",\n"
-     << "      \"unrecoverable_by_design\": " << unrecoverable << ",\n"
-     << "      \"total_simulated_ms\": " << jsonNumber(totalMs) << ",\n"
-     << "      \"total_restore_ms\": " << jsonNumber(restoreMs) << ",\n"
-     << "      \"worst_restore_ms\": {";
-  bool first = true;
-  for (const auto& [mode, ms] : result.worstRestoreMs) {
-    os << (first ? "" : ", ") << '"' << mode << "\": " << jsonNumber(ms);
-    first = false;
-  }
-  os << "}";
-  if (haveMetrics) {
-    // Re-indent the folded metrics document under "metrics".
-    std::istringstream metrics(toMetricsJson(result));
-    os << ",\n      \"metrics\": ";
-    std::string line;
-    bool firstLine = true;
-    while (std::getline(metrics, line)) {
-      if (!firstLine) os << "\n      " << line;
-      else os << line;
-      firstLine = false;
-    }
-  }
-  os << "\n    },\n    \"wall\": {\n"
-     << "      \"jobs\": " << result.jobsUsed << ",\n"
-     << "      \"wall_seconds\": " << jsonNumber(result.wallSeconds) << ",\n"
-     << "      \"scenarios_per_sec\": " << jsonNumber(result.scenariosPerSec)
-     << "\n    }\n  }\n}\n";
+  writeBenchJson(
+      os, "chaos_sweep_bench",
+      [&](obs::JsonWriter& w) {
+        w.member("scenarios", result.scenariosRun)
+            .member("ok", ok)
+            .member("failures", result.failures.size())
+            .member("unrecoverable_by_design", unrecoverable)
+            .member("total_simulated_ms", totalMs)
+            .member("total_restore_ms", restoreMs);
+        writeWorstRestore(w, result);
+        if (haveMetrics) {
+          w.key("metrics");
+          foldedMetrics(result).write(w);
+        }
+      },
+      [&](obs::JsonWriter& w) {
+        w.member("jobs", result.jobsUsed)
+            .member("wall_seconds", result.wallSeconds)
+            .member("scenarios_per_sec", result.scenariosPerSec);
+      });
 }
 
 std::string summarize(const SweepResult& result) {
@@ -283,7 +262,6 @@ std::string summarize(const SweepResult& result) {
   return os.str();
 }
 
-namespace {
 const char* reconvergenceBucket(long iters) {
   if (iters < 0) return "n/a";
   if (iters == 0) return "0";
@@ -291,7 +269,6 @@ const char* reconvergenceBucket(long iters) {
   if (iters <= 8) return "3-8";
   return ">8";
 }
-}  // namespace
 
 std::string classificationReport(const SweepResult& result) {
   std::ostringstream os;

@@ -27,11 +27,14 @@
 // they are byte-identical at any --jobs value.
 #pragma once
 
+#include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/sweeper.h"
+#include "obs/analysis/json.h"
 #include "obs/chrome_trace.h"
 
 namespace rgml::harness {
@@ -45,12 +48,16 @@ void writeJsonReport(const SweepResult& result, std::ostream& os);
 /// One-paragraph human summary (CLI output, test failure messages).
 [[nodiscard]] std::string summarize(const SweepResult& result);
 
+/// Iterations-to-reconverge bucketed as n/a (not measured), 0, 1-2, 3-8
+/// or >8: the paper-relevant magnitude of a lossy restart.
+[[nodiscard]] const char* reconvergenceBucket(long iters);
+
 /// The backend-equivalence classification report: one line per scenario,
 /// in scenario order —
 ///
 ///   app|mode|schedule|kind|failures=N|restored_to=N|reconv=<bucket>
 ///
-/// with reconvergence bucketed (n/a, 0, 1-2, 3-8, >8) so lossy restarts
+/// with reconvergence bucketed (reconvergenceBucket) so lossy restarts
 /// compare on the paper-relevant magnitude rather than the exact count.
 /// Deliberately omits every wall- or detail-dependent field (restore_ms,
 /// total_ms, exception texts, first_divergent_iteration): a Simulated and
@@ -88,6 +95,22 @@ void writeMetricsJson(const SweepResult& result, std::ostream& os);
 /// any entry directly. Dumps carry wall-clock timestamps, so this file —
 /// unlike the classification report — is NOT byte-stable run-to-run.
 void writeFlightReport(const SweepResult& result, std::ostream& os);
+
+/// Writes the members of one JSON object section.
+using JsonMembers = std::function<void(obs::JsonWriter&)>;
+
+/// The wrapper every BENCH_*.json perf artifact shares, one member per
+/// line and a trailing newline:
+///
+/// {"<name>": {"deterministic": {...}, "wall": {...}}}
+///
+/// `deterministic` and `wall` write the members of their sections.
+/// Everything under "deterministic" must be byte-identical run-to-run
+/// (tools/perf_gate diffs it exactly against baselines/); "wall" is
+/// machine-dependent.
+void writeBenchJson(std::ostream& os, std::string_view name,
+                    const JsonMembers& deterministic,
+                    const JsonMembers& wall);
 
 /// BENCH_*.json perf artifact, split for the perf gate:
 ///

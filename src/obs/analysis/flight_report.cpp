@@ -5,8 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "obs/json_util.h"
-
 namespace rgml::obs::analysis {
 
 double flightPercentile(const std::vector<double>& sorted, double q) {
@@ -183,48 +181,46 @@ std::string formatFinishCurve(const std::vector<FinishCurvePoint>& curve) {
 
 void writeFlightAnalysisJson(const FlightAnalysis& analysis,
                              std::ostream& os) {
-  os << "{\"flight_analysis\": {\"places\": " << analysis.places
-     << ", \"ring_capacity\": " << analysis.ringCapacity
-     << ", \"lanes\": " << analysis.lanes
-     << ", \"events_recorded\": " << analysis.eventsRecorded
-     << ", \"events_retained\": " << analysis.eventsRetained << ",\n";
+  using Layout = JsonWriter::Layout;
+  JsonWriter w(os);
+  w.beginObject().key("flight_analysis").beginObject(Layout::Lines);
+  w.member("places", analysis.places)
+      .member("ring_capacity", analysis.ringCapacity)
+      .member("lanes", analysis.lanes)
+      .member("events_recorded", analysis.eventsRecorded)
+      .member("events_retained", analysis.eventsRetained);
   auto latencyList = [&](const char* key,
                          const std::vector<FlightLatencyStats>& list) {
-    os << "  \"" << key << "\": [";
-    bool first = true;
+    w.key(key).beginArray(Layout::Lines);
     for (const FlightLatencyStats& s : list) {
-      os << (first ? "\n" : ",\n") << "    {\"queue\": " << s.queue
-         << ", \"count\": " << s.count
-         << ", \"p50_us\": " << jsonNumber(s.p50Us)
-         << ", \"p99_us\": " << jsonNumber(s.p99Us)
-         << ", \"max_us\": " << jsonNumber(s.maxUs) << "}";
-      first = false;
+      w.beginObject()
+          .member("queue", s.queue)
+          .member("count", s.count)
+          .member("p50_us", s.p50Us)
+          .member("p99_us", s.p99Us)
+          .member("max_us", s.maxUs)
+          .end();
     }
-    os << (first ? "]" : "\n  ]");
+    w.end();
   };
   latencyList("ack_wait", analysis.ackWait);
-  os << ",\n";
   latencyList("dequeue_latency", analysis.dequeueLatency);
-  os << ",\n  \"queues\": [";
-  bool first = true;
+  w.key("queues").beginArray(Layout::Lines);
   for (const FlightQueueStats& s : analysis.queues) {
-    os << (first ? "\n" : ",\n") << "    {\"queue\": " << s.queue
-       << ", \"samples\": " << s.samples
-       << ", \"max_depth\": " << s.maxDepth
-       << ", \"mean_depth\": " << jsonNumber(s.meanDepth)
-       << ", \"enqueues\": " << s.enqueues
-       << ", \"dequeues\": " << s.dequeues
-       << ", \"dead\": " << (s.dead ? 1 : 0) << "}";
-    first = false;
+    w.beginObject()
+        .member("queue", s.queue)
+        .member("samples", s.samples)
+        .member("max_depth", s.maxDepth)
+        .member("mean_depth", s.meanDepth)
+        .member("enqueues", s.enqueues)
+        .member("dequeues", s.dequeues)
+        .member("dead", s.dead ? 1 : 0)
+        .end();
   }
-  os << (first ? "]" : "\n  ]") << ",\n  \"verdicts\": [";
-  first = true;
-  for (const std::string& verdict : analysis.verdicts) {
-    os << (first ? "" : ", ");
-    writeJsonString(os, verdict);
-    first = false;
-  }
-  os << "]}}\n";
+  w.end().key("verdicts").beginArray();
+  for (const std::string& verdict : analysis.verdicts) w.value(verdict);
+  w.end().end().end();
+  os << '\n';
 }
 
 }  // namespace rgml::obs::analysis

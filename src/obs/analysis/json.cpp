@@ -1,9 +1,123 @@
 #include "obs/analysis/json.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+namespace rgml::obs {
+
+std::string jsonNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
+
+namespace {
+
+/// Buffered bytes that send a long document to the stream mid-way.
+constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+
+}  // namespace
+
+JsonWriter::~JsonWriter() { flush(); }
+
+JsonWriter& JsonWriter::begin(bool object, Layout layout) {
+  beginValue();
+  out_ += object ? '{' : '[';
+  stack_.push_back(Frame{object, layout});
+  if (layout == Layout::Lines) ++linesDepth_;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end() {
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.layout == Layout::Lines) {
+    --linesDepth_;
+    if (!frame.empty) newline();
+  }
+  out_ += frame.object ? '}' : ']';
+  return done();
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  writeString(name);
+  out_ += ": ";
+  afterKey_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  beginValue();
+  writeString(s);
+  return done();
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  beginValue();
+  out_ += json;
+  return done();
+}
+
+void JsonWriter::beginValue() {
+  if (!std::exchange(afterKey_, false)) separate();
+}
+
+void JsonWriter::separate() {
+  if (stack_.empty()) return;
+  Frame& frame = stack_.back();
+  if (frame.layout == Layout::Lines) {
+    if (!frame.empty) out_ += ',';
+    newline();
+  } else if (!frame.empty) {
+    out_ += ", ";
+  }
+  frame.empty = false;
+}
+
+void JsonWriter::newline() {
+  out_ += '\n';
+  out_.append(2 * linesDepth_, ' ');
+}
+
+JsonWriter& JsonWriter::done() {
+  if (stack_.empty() || out_.size() >= kFlushBytes) flush();
+  return *this;
+}
+
+void JsonWriter::flush() {
+  os_.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+}
+
+void JsonWriter::writeString(std::string_view s) {
+  // Short escapes for \b \t \n (0x08-0x0a) and \f \r (0x0c-0x0d); 0x0b
+  // and the other control characters take the \u00XX form.
+  static constexpr char kShort[] = "btn\0fr";
+  out_ += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out_ += '\\';
+      out_ += c;
+    } else if (u >= 0x20) {
+      out_ += c;
+    } else if (u >= 0x08 && u <= 0x0d && kShort[u - 0x08] != '\0') {
+      out_ += '\\';
+      out_ += kShort[u - 0x08];
+    } else {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(u));
+      out_ += esc;
+    }
+  }
+  out_ += '"';
+}
+
+}  // namespace rgml::obs
 
 namespace rgml::obs::analysis {
 

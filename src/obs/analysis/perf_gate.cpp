@@ -4,7 +4,7 @@
 #include <map>
 #include <sstream>
 
-#include "obs/json_util.h"
+#include "obs/analysis/json.h"
 
 namespace rgml::obs::analysis {
 

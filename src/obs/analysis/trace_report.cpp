@@ -3,7 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "obs/json_util.h"
+#include "obs/analysis/json.h"
 
 namespace rgml::obs::analysis {
 
@@ -36,114 +36,90 @@ void writeBucketTable(std::ostream& os, const char* heading,
   }
 }
 
-void writeBucketsJson(std::ostream& os, const char* key,
-                      const std::vector<AttributionBucket>& buckets,
-                      const char* indent) {
-  os << indent << "\"" << key << "\": [";
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const AttributionBucket& b = buckets[i];
-    os << (i ? "," : "") << "\n" << indent << "  {\"key\": \""
-       << jsonEscape(b.key) << "\", \"self_seconds\": "
-       << jsonNumber(b.selfSeconds) << ", \"pct\": " << jsonNumber(b.pct)
-       << ", \"spans\": " << b.spans << ", \"bytes\": " << b.bytes << "}";
+using Layout = JsonWriter::Layout;
+
+void writeBucketsJson(JsonWriter& w, const char* key,
+                      const std::vector<AttributionBucket>& buckets) {
+  w.key(key).beginArray(Layout::Lines);
+  for (const AttributionBucket& b : buckets) {
+    w.beginObject()
+        .member("key", b.key)
+        .member("self_seconds", b.selfSeconds)
+        .member("pct", b.pct)
+        .member("spans", b.spans)
+        .member("bytes", b.bytes)
+        .end();
   }
-  os << (buckets.empty() ? "" : "\n") << (buckets.empty() ? "" : indent)
-     << "]";
+  w.end();
 }
 
-void writeAttributionJson(std::ostream& os, const AttributionReport& a,
-                          const char* indent) {
-  std::string inner = std::string(indent) + "  ";
-  os << "{\n"
-     << inner << "\"total_seconds\": " << jsonNumber(a.totalSeconds) << ",\n";
-  writeBucketsJson(os, "by_category", a.byCategory, inner.c_str());
-  os << ",\n";
-  writeBucketsJson(os, "by_phase", a.byPhase, inner.c_str());
-  os << "\n" << indent << "}";
+void writeAttributionJson(JsonWriter& w, const AttributionReport& a) {
+  w.beginObject(Layout::Lines).member("total_seconds", a.totalSeconds);
+  writeBucketsJson(w, "by_category", a.byCategory);
+  writeBucketsJson(w, "by_phase", a.byPhase);
+  w.end();
 }
 
-void writeEntryJson(std::ostream& os, const CriticalPathEntry& e) {
-  os << "{\"category\": \"" << jsonEscape(e.category) << "\", \"name\": \""
-     << jsonEscape(e.name) << "\", \"phase\": \"" << jsonEscape(e.phase)
-     << "\", \"place\": " << e.place << ", \"iteration\": " << e.iteration
-     << ", \"start\": " << jsonNumber(e.startTime)
-     << ", \"duration\": " << jsonNumber(e.duration()) << "}";
+void writeEntryJson(JsonWriter& w, const CriticalPathEntry& e) {
+  w.beginObject()
+      .member("category", e.category)
+      .member("name", e.name)
+      .member("phase", e.phase)
+      .member("place", e.place)
+      .member("iteration", e.iteration)
+      .member("start", e.startTime)
+      .member("duration", e.duration())
+      .end();
 }
 
-void writeCriticalPathJson(std::ostream& os, const CriticalPath& p,
-                           const char* indent) {
-  std::string inner = std::string(indent) + "  ";
-  os << "{\n"
-     << inner << "\"length_seconds\": " << jsonNumber(p.lengthSeconds) << ",\n"
-     << inner << "\"makespan_seconds\": " << jsonNumber(p.makespanSeconds)
-     << ",\n"
-     << inner << "\"entries\": [";
-  for (std::size_t i = 0; i < p.entries.size(); ++i) {
-    os << (i ? "," : "") << "\n" << inner << "  ";
-    writeEntryJson(os, p.entries[i]);
+void writeCriticalPathJson(JsonWriter& w, const CriticalPath& p) {
+  w.beginObject(Layout::Lines)
+      .member("length_seconds", p.lengthSeconds)
+      .member("makespan_seconds", p.makespanSeconds);
+  w.key("entries").beginArray(Layout::Lines);
+  for (const CriticalPathEntry& e : p.entries) writeEntryJson(w, e);
+  w.end().key("by_category").beginArray(Layout::Lines);
+  for (const CriticalPathCategory& c : p.byCategory) {
+    w.beginObject()
+        .member("key", c.key)
+        .member("seconds", c.seconds)
+        .member("pct", c.pct)
+        .member("spans", c.spans);
+    w.key("top").beginArray();
+    for (const CriticalPathEntry& e : c.top) writeEntryJson(w, e);
+    w.end().end();
   }
-  os << (p.entries.empty() ? "" : "\n")
-     << (p.entries.empty() ? "" : inner.c_str()) << "],\n"
-     << inner << "\"by_category\": [";
-  for (std::size_t i = 0; i < p.byCategory.size(); ++i) {
-    const CriticalPathCategory& c = p.byCategory[i];
-    os << (i ? "," : "") << "\n" << inner << "  {\"key\": \""
-       << jsonEscape(c.key) << "\", \"seconds\": " << jsonNumber(c.seconds)
-       << ", \"pct\": " << jsonNumber(c.pct) << ", \"spans\": " << c.spans
-       << ", \"top\": [";
-    for (std::size_t j = 0; j < c.top.size(); ++j) {
-      os << (j ? ", " : "");
-      writeEntryJson(os, c.top[j]);
-    }
-    os << "]}";
-  }
-  os << (p.byCategory.empty() ? "" : "\n")
-     << (p.byCategory.empty() ? "" : inner.c_str()) << "]\n"
-     << indent << "}";
+  w.end().end();
 }
 
-void writeAmortizationJson(std::ostream& os, const AmortizationReport& a,
-                           const char* indent) {
-  std::string inner = std::string(indent) + "  ";
-  os << "{\n"
-     << inner << "\"steps\": " << a.steps << ",\n"
-     << inner << "\"step_seconds\": " << jsonNumber(a.stepSeconds) << ",\n"
-     << inner << "\"avg_step_seconds\": " << jsonNumber(a.avgStepSeconds)
-     << ",\n"
-     << inner << "\"checkpoints\": " << a.checkpoints << ",\n"
-     << inner << "\"checkpoint_seconds\": " << jsonNumber(a.checkpointSeconds)
-     << ",\n"
-     << inner << "\"avg_checkpoint_seconds\": "
-     << jsonNumber(a.avgCheckpointSeconds) << ",\n"
-     << inner << "\"restores\": " << a.restores << ",\n"
-     << inner << "\"restore_seconds\": " << jsonNumber(a.restoreSeconds)
-     << ",\n"
-     << inner << "\"fresh_bytes\": " << a.freshBytes << ",\n"
-     << inner << "\"carried_bytes\": " << a.carriedBytes << ",\n"
-     << inner << "\"fresh_entries\": " << a.freshEntries << ",\n"
-     << inner << "\"carried_entries\": " << a.carriedEntries << ",\n"
-     << inner << "\"carried_fraction\": " << jsonNumber(a.carriedFraction)
-     << ",\n"
-     << inner << "\"raw_bytes\": " << a.rawBytes << ",\n"
-     << inner << "\"encoded_bytes\": " << a.encodedBytes << ",\n"
-     << inner << "\"codec_seconds\": " << jsonNumber(a.codecSeconds) << ",\n"
-     << inner << "\"compression_ratio\": " << jsonNumber(a.compressionRatio)
-     << ",\n"
-     << inner << "\"checkpoint_overhead_pct\": "
-     << jsonNumber(a.checkpointOverheadPct) << ",\n"
-     << inner << "\"restore_overhead_pct\": "
-     << jsonNumber(a.restoreOverheadPct) << ",\n"
-     << inner << "\"mtbf_seconds\": " << jsonNumber(a.mtbfSeconds) << ",\n"
-     << inner << "\"mtbf_observed\": "
-     << (a.mtbfObserved ? "true" : "false") << ",\n"
-     << inner << "\"checkpoint_cost_used\": "
-     << jsonNumber(a.checkpointCostUsed) << ",\n"
-     << inner << "\"recommended_interval\": " << a.recommendedInterval
-     << ",\n"
-     << inner << "\"recommended_overhead_pct\": "
-     << jsonNumber(a.recommendedOverheadPct) << ",\n"
-     << inner << "\"note\": \"" << jsonEscape(a.note) << "\"\n"
-     << indent << "}";
+void writeAmortizationJson(JsonWriter& w, const AmortizationReport& a) {
+  w.beginObject(Layout::Lines)
+      .member("steps", a.steps)
+      .member("step_seconds", a.stepSeconds)
+      .member("avg_step_seconds", a.avgStepSeconds)
+      .member("checkpoints", a.checkpoints)
+      .member("checkpoint_seconds", a.checkpointSeconds)
+      .member("avg_checkpoint_seconds", a.avgCheckpointSeconds)
+      .member("restores", a.restores)
+      .member("restore_seconds", a.restoreSeconds)
+      .member("fresh_bytes", a.freshBytes)
+      .member("carried_bytes", a.carriedBytes)
+      .member("fresh_entries", a.freshEntries)
+      .member("carried_entries", a.carriedEntries)
+      .member("carried_fraction", a.carriedFraction)
+      .member("raw_bytes", a.rawBytes)
+      .member("encoded_bytes", a.encodedBytes)
+      .member("codec_seconds", a.codecSeconds)
+      .member("compression_ratio", a.compressionRatio)
+      .member("checkpoint_overhead_pct", a.checkpointOverheadPct)
+      .member("restore_overhead_pct", a.restoreOverheadPct)
+      .member("mtbf_seconds", a.mtbfSeconds)
+      .member("mtbf_observed", a.mtbfObserved)
+      .member("checkpoint_cost_used", a.checkpointCostUsed)
+      .member("recommended_interval", a.recommendedInterval)
+      .member("recommended_overhead_pct", a.recommendedOverheadPct)
+      .member("note", a.note)
+      .end();
 }
 
 }  // namespace
@@ -244,26 +220,28 @@ void writeHumanReport(const TraceReport& report, std::ostream& os) {
 }
 
 void writeJsonReport(const TraceReport& report, std::ostream& os) {
-  os << "{\n  \"trace_report\": {\n    \"lanes\": [";
-  for (std::size_t i = 0; i < report.lanes.size(); ++i) {
-    const LaneAnalysis& lane = report.lanes[i];
-    os << (i ? "," : "") << "\n      {\"pid\": " << lane.pid
-       << ", \"name\": \"" << jsonEscape(lane.name)
-       << "\", \"spans\": " << lane.spanCount << ",\n"
-       << "       \"attribution\": ";
-    writeAttributionJson(os, lane.attribution, "       ");
-    os << ",\n       \"critical_path\": ";
-    writeCriticalPathJson(os, lane.criticalPath, "       ");
-    os << "}";
+  JsonWriter w(os);
+  w.beginObject(Layout::Lines).key("trace_report").beginObject(Layout::Lines);
+  w.key("lanes").beginArray(Layout::Lines);
+  for (const LaneAnalysis& lane : report.lanes) {
+    w.beginObject(Layout::Lines)
+        .member("pid", lane.pid)
+        .member("name", lane.name)
+        .member("spans", lane.spanCount);
+    w.key("attribution");
+    writeAttributionJson(w, lane.attribution);
+    w.key("critical_path");
+    writeCriticalPathJson(w, lane.criticalPath);
+    w.end();
   }
-  os << (report.lanes.empty() ? "" : "\n    ") << "],\n"
-     << "    \"overall\": ";
-  writeAttributionJson(os, report.overall, "    ");
+  w.end().key("overall");
+  writeAttributionJson(w, report.overall);
   if (report.hasMetrics) {
-    os << ",\n    \"amortization\": ";
-    writeAmortizationJson(os, report.amortization, "    ");
+    w.key("amortization");
+    writeAmortizationJson(w, report.amortization);
   }
-  os << "\n  }\n}\n";
+  w.end().end();
+  os << '\n';
 }
 
 }  // namespace rgml::obs::analysis

@@ -3,14 +3,11 @@
 #include <set>
 #include <sstream>
 
-#include "obs/json_util.h"
+#include "obs/analysis/json.h"
 
 namespace rgml::obs {
 
 namespace {
-
-/// Simulated seconds -> Chrome trace microseconds.
-std::string us(double seconds) { return jsonNumber(seconds * 1e6); }
 
 int tidOf(const Span& s) { return s.place >= 0 ? s.place : 0; }
 
@@ -18,52 +15,53 @@ int tidOf(const Span& s) { return s.place >= 0 ? s.place : 0; }
 
 void writeChromeTrace(const std::vector<TraceLane>& lanes,
                       std::ostream& os) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  auto sep = [&] {
-    os << (first ? "\n" : ",\n");
-    first = false;
-  };
-
+  JsonWriter w(os);
+  w.beginObject().key("traceEvents").beginArray(JsonWriter::Layout::Lines);
   for (const TraceLane& lane : lanes) {
-    sep();
-    os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-       << lane.pid << ", \"tid\": 0, \"args\": {\"name\": \""
-       << jsonEscape(lane.name) << "\"}}";
+    w.beginObject()
+        .member("name", "process_name")
+        .member("ph", "M")
+        .member("pid", lane.pid)
+        .member("tid", 0);
+    w.key("args").beginObject().member("name", lane.name).end().end();
     std::set<int> tids;
     for (const Span& s : lane.spans) tids.insert(tidOf(s));
     for (int tid : tids) {
-      sep();
-      os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-         << lane.pid << ", \"tid\": " << tid
-         << ", \"args\": {\"name\": \"place " << tid << "\"}}";
+      w.beginObject()
+          .member("name", "thread_name")
+          .member("ph", "M")
+          .member("pid", lane.pid)
+          .member("tid", tid);
+      w.key("args").beginObject();
+      w.member("name", "place " + std::to_string(tid)).end().end();
     }
     for (const Span& s : lane.spans) {
-      sep();
-      os << "  {\"name\": \"" << jsonEscape(s.name) << "\", \"cat\": \""
-         << toString(s.category) << "\", \"ph\": \"X\", \"ts\": "
-         << us(s.startTime) << ", \"dur\": "
-         << us(s.endTime - s.startTime) << ", \"pid\": " << lane.pid
-         << ", \"tid\": " << tidOf(s) << ", \"args\": {\"iteration\": "
-         << s.iteration << ", \"bytes\": " << s.bytes
-         << ", \"depth\": " << s.depth;
-      if (!s.phase.empty()) {
-        os << ", \"phase\": \"" << jsonEscape(s.phase) << '"';
-      }
+      // Simulated seconds -> Chrome trace microseconds.
+      w.beginObject()
+          .member("name", s.name)
+          .member("cat", toString(s.category))
+          .member("ph", "X")
+          .member("ts", s.startTime * 1e6)
+          .member("dur", (s.endTime - s.startTime) * 1e6)
+          .member("pid", lane.pid)
+          .member("tid", tidOf(s));
+      w.key("args").beginObject();
+      w.member("iteration", s.iteration)
+          .member("bytes", s.bytes)
+          .member("depth", s.depth);
+      if (!s.phase.empty()) w.member("phase", s.phase);
       if (s.tid >= 0) {
         // The chrome "tid" field above stays = place (trace_load maps it
         // back into Span::place); the real OS thread tag from the Threads
         // backend rides along as an annotation instead.
-        os << ", \"tid\": \"" << s.tid << '"';
+        w.member("tid", std::to_string(s.tid));
       }
-      for (const auto& [key, value] : s.args) {
-        os << ", \"" << jsonEscape(key) << "\": \"" << jsonEscape(value)
-           << '"';
-      }
-      os << "}}";
+      for (const auto& [key, value] : s.args) w.member(key, value);
+      w.end().end();
     }
   }
-  os << (first ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
+  w.end().member("displayTimeUnit", "ms").end();
+  os << '\n';
 }
 
 std::string toChromeTraceJson(const std::vector<TraceLane>& lanes) {

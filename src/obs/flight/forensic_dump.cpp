@@ -2,81 +2,81 @@
 
 #include <sstream>
 
-#include "obs/json_util.h"
+#include "obs/analysis/json.h"
 
 namespace rgml::obs::flight {
 
 void writeForensicJson(std::ostream& os, const FlightRecorder& recorder,
                        const StallWatchdog* watchdog) {
-  os << "{\"flight\": {\"places\": " << recorder.places()
-     << ", \"ring_capacity\": " << recorder.ringCapacity()
-     << ",\n  \"lanes\": [";
-  const auto lanes = recorder.snapshotLanes();
-  bool firstLane = true;
-  for (const auto& lane : lanes) {
-    os << (firstLane ? "\n" : ",\n") << "    {\"label\": ";
-    writeJsonString(os, lane.label);
-    os << ", \"recorded\": " << lane.recorded
-       << ", \"dropped\": " << lane.dropped << ", \"events\": [";
-    bool firstEvent = true;
+  using Layout = JsonWriter::Layout;
+  JsonWriter w(os);
+  w.beginObject().key("flight").beginObject(Layout::Lines);
+  w.member("places", recorder.places())
+      .member("ring_capacity", recorder.ringCapacity());
+  w.key("lanes").beginArray(Layout::Lines);
+  for (const auto& lane : recorder.snapshotLanes()) {
+    w.beginObject()
+        .member("label", lane.label)
+        .member("recorded", lane.recorded)
+        .member("dropped", lane.dropped);
+    w.key("events").beginArray(Layout::Lines);
     for (const Event& e : lane.events) {
-      os << (firstEvent ? "\n" : ",\n") << "      {\"t\": " << jsonNumber(e.t)
-         << ", \"kind\": \"" << toString(e.kind)
-         << "\", \"queue\": " << e.queue << ", \"depth\": " << e.depth
-         << ", \"value\": " << jsonNumber(e.value) << "}";
-      firstEvent = false;
+      w.beginObject()
+          .member("t", e.t)
+          .member("kind", toString(e.kind))
+          .member("queue", e.queue)
+          .member("depth", e.depth)
+          .member("value", e.value)
+          .end();
     }
-    os << (firstEvent ? "]}" : "\n    ]}");
-    firstLane = false;
+    w.end().end();
   }
-  os << (firstLane ? "],\n" : "\n  ],\n") << "  \"progress\": [";
-  bool firstRow = true;
+  w.end().key("progress").beginArray(Layout::Lines);
   auto progressRow = [&](int queue) {
     const FlightRecorder::ProgressSnapshot snap = recorder.progress(queue);
-    os << (firstRow ? "\n" : ",\n") << "    {\"queue\": " << queue
-       << ", \"enqueues\": " << snap.enqueues
-       << ", \"dequeues\": " << snap.dequeues
-       << ", \"depth\": " << snap.depth
-       << ", \"dead\": " << (snap.dead ? 1 : 0) << "}";
-    firstRow = false;
+    w.beginObject()
+        .member("queue", queue)
+        .member("enqueues", snap.enqueues)
+        .member("dequeues", snap.dequeues)
+        .member("depth", snap.depth)
+        .member("dead", snap.dead ? 1 : 0)
+        .end();
   };
   for (int p = 0; p < recorder.places(); ++p) progressRow(p);
   progressRow(kCtrlQueue);
-  os << (firstRow ? "]" : "\n  ]");
+  w.end();
   if (watchdog != nullptr) {
-    os << ",\n  \"watchdog\": {\"period_seconds\": "
-       << jsonNumber(watchdog->periodSeconds()) << ", \"samples\": [";
-    bool firstSample = true;
+    w.key("watchdog").beginObject(Layout::Lines);
+    w.member("period_seconds", watchdog->periodSeconds());
+    w.key("samples").beginArray(Layout::Lines);
     for (const auto& sample : watchdog->samples()) {
-      os << (firstSample ? "\n" : ",\n")
-         << "    {\"t\": " << jsonNumber(sample.t)
-         << ", \"index\": " << sample.index << ", \"rows\": [";
-      bool first = true;
+      w.beginObject().member("t", sample.t).member("index", sample.index);
+      w.key("rows").beginArray();
       for (const auto& row : sample.rows) {
-        os << (first ? "" : ", ") << "{\"queue\": " << row.queue
-           << ", \"depth\": " << row.depth
-           << ", \"enqueues\": " << row.enqueues
-           << ", \"dequeues\": " << row.dequeues
-           << ", \"dead\": " << (row.dead ? 1 : 0) << "}";
-        first = false;
+        w.beginObject()
+            .member("queue", row.queue)
+            .member("depth", row.depth)
+            .member("enqueues", row.enqueues)
+            .member("dequeues", row.dequeues)
+            .member("dead", row.dead ? 1 : 0)
+            .end();
       }
-      os << "]}";
-      firstSample = false;
+      w.end().end();
     }
-    os << (firstSample ? "]" : "\n  ]") << ", \"verdicts\": [";
-    bool firstVerdict = true;
+    w.end().key("verdicts").beginArray(Layout::Lines);
     for (const auto& v : watchdog->verdicts()) {
-      os << (firstVerdict ? "\n" : ",\n") << "    {\"t\": " << jsonNumber(v.t)
-         << ", \"sample\": " << v.sampleIndex << ", \"queue\": " << v.queue
-         << ", \"depth\": " << v.depth << ", \"dequeues\": " << v.dequeues
-         << ", \"detail\": ";
-      writeJsonString(os, v.detail);
-      os << "}";
-      firstVerdict = false;
+      w.beginObject()
+          .member("t", v.t)
+          .member("sample", v.sampleIndex)
+          .member("queue", v.queue)
+          .member("depth", v.depth)
+          .member("dequeues", v.dequeues)
+          .member("detail", v.detail)
+          .end();
     }
-    os << (firstVerdict ? "]}" : "\n  ]}");
+    w.end().end();
   }
-  os << "}}";
+  w.end().end();
 }
 
 std::string forensicJson(const FlightRecorder& recorder,

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json_util.h"
+#include "obs/analysis/json.h"
 
 namespace rgml::obs {
 
@@ -114,38 +114,29 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::writeJson(std::ostream& os) const {
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-       << "\": " << value;
-    first = false;
-  }
-  os << (counters_.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-       << "\": " << jsonNumber(value);
-    first = false;
-  }
-  os << (gauges_.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+void MetricsRegistry::write(JsonWriter& w) const {
+  using Layout = JsonWriter::Layout;
+  w.beginObject(Layout::Lines).key("counters").beginObject(Layout::Lines);
+  for (const auto& [name, value] : counters_) w.member(name, value);
+  w.end().key("gauges").beginObject(Layout::Lines);
+  for (const auto& [name, value] : gauges_) w.member(name, value);
+  w.end().key("histograms").beginObject(Layout::Lines);
   for (const auto& [name, hist] : histograms_) {
-    os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-       << "\": {\"count\": " << hist.count()
-       << ", \"sum\": " << jsonNumber(hist.sum()) << ", \"bounds\": [";
-    for (std::size_t i = 0; i < hist.upperBounds().size(); ++i) {
-      os << (i ? ", " : "") << jsonNumber(hist.upperBounds()[i]);
-    }
-    os << "], \"buckets\": [";
-    for (std::size_t i = 0; i < hist.bucketCounts().size(); ++i) {
-      os << (i ? ", " : "") << hist.bucketCounts()[i];
-    }
-    os << "]}";
-    first = false;
+    w.key(name).beginObject();
+    w.member("count", hist.count()).member("sum", hist.sum());
+    w.key("bounds").beginArray();
+    for (const double bound : hist.upperBounds()) w.value(bound);
+    w.end().key("buckets").beginArray();
+    for (const long bucket : hist.bucketCounts()) w.value(bucket);
+    w.end().end();
   }
-  os << (histograms_.empty() ? "" : "\n  ") << "}\n}\n";
+  w.end().end();
+}
+
+void MetricsRegistry::writeJson(std::ostream& os) const {
+  JsonWriter w(os);
+  write(w);
+  os << '\n';
 }
 
 std::string MetricsRegistry::toJson() const {

@@ -13,6 +13,8 @@
 
 namespace rgml::obs {
 
+class JsonWriter;
+
 /// A fixed-bucket histogram: `upperBounds` are the inclusive upper edges
 /// of the finite buckets (must be strictly increasing); one implicit
 /// overflow bucket catches everything above the last bound.
@@ -87,9 +89,13 @@ class MetricsRegistry {
   /// histograms merge bucket-wise.
   void merge(const MetricsRegistry& other);
 
-  /// Compact JSON: {"counters": {...}, "gauges": {...},
-  /// "histograms": {"<name>": {"count": N, "sum": x,
-  ///                           "bounds": [...], "buckets": [...]}}}.
+  /// The registry as one JSON object value written into `w`:
+  /// {"counters": {...}, "gauges": {...},
+  ///  "histograms": {"<name>": {"count": N, "sum": x,
+  ///                            "bounds": [...], "buckets": [...]}}},
+  /// one metric per line.
+  void write(JsonWriter& w) const;
+  /// write() as a standalone document with a trailing newline.
   void writeJson(std::ostream& os) const;
   [[nodiscard]] std::string toJson() const;
 

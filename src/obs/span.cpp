@@ -1,5 +1,9 @@
 #include "obs/span.h"
 
+#include <sstream>
+
+#include "obs/analysis/json.h"
+
 namespace rgml::obs {
 
 const char* toString(Category category) {
@@ -37,6 +41,17 @@ bool parseCategory(const std::string& name, Category& out) {
     }
   }
   return false;
+}
+
+std::string spanLine(const Span& s) {
+  std::ostringstream os;
+  os << '[' << jsonNumber(s.startTime) << "s.." << jsonNumber(s.endTime)
+     << "s] " << toString(s.category) << ' ' << s.name;
+  if (s.iteration >= 0) os << " iter=" << s.iteration;
+  if (s.place >= 0) os << " p" << s.place;
+  if (s.bytes > 0) os << " bytes=" << s.bytes;
+  for (const auto& [key, value] : s.args) os << ' ' << key << '=' << value;
+  return os.str();
 }
 
 }  // namespace rgml::obs

@@ -77,4 +77,11 @@ struct Span {
   }
 };
 
+/// One compact line of text for `s` — the span-to-text renderer of
+/// timelines and report trace tails:
+///   [0.12s..0.15s] restore restore iter=15 p0 mode=shrink victim=3
+/// (times via jsonNumber; iteration, place and bytes only when set; then
+/// every annotation as key=value).
+[[nodiscard]] std::string spanLine(const Span& s);
+
 }  // namespace rgml::obs

@@ -1,11 +1,12 @@
 // Tests for the trace-analysis layer (src/obs/analysis/): the JSON
-// parser, the trace/metrics loaders inverting the exporters (including
-// escape round-trips with hostile names), self-time attribution,
+// writer and parser, the trace/metrics loaders inverting the exporters
+// (including escape round-trips with hostile names), self-time attribution,
 // critical-path extraction, the checkpoint-amortization model, and an
 // end-to-end pass over a fig7-style PageRank restore scenario.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,7 +81,7 @@ TEST(Json, TypeMismatchAndMissingKeyThrow) {
   EXPECT_EQ(v.find("missing"), nullptr);
 }
 
-// ---- exporter/loader round-trips (jsonEscape under hostile names) ---------
+// ---- exporter/loader round-trips (escaping under hostile names) ----------
 
 // A name exercising every escape class the writers must handle: quotes,
 // backslashes, control characters, and multi-byte UTF-8.
@@ -151,6 +152,144 @@ TEST(TraceRoundTrip, LoaderRejectsCorruptDocuments) {
           R"({"counters": {}, "gauges": {}, "histograms": {"h":)"
           R"( {"count": 5, "sum": 1.0, "bounds": [1], "buckets": [1, 1]}}})")),
       JsonError);
+}
+
+// The writer against the parser: escapes, layouts, value types, splices.
+
+using Layout = JsonWriter::Layout;
+
+/// Every control character plus the quote and backslash escape classes.
+std::string allEscapeClasses() {
+  std::string s = kNastyName;
+  for (char c = 1; c < 0x20; ++c) s += c;
+  return s + "\"\\/";
+}
+
+TEST(JsonWriterRoundTrip, KeysAndValuesWithEveryEscapeClassParseBackEqual) {
+  const std::string nasty = allEscapeClasses();
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject(Layout::Lines)
+      .member(kNastyName, kNastyName)
+      .member(nasty, nasty);
+  w.key("list").beginArray().value(nasty).value(kNastyName).end().end();
+
+  const JsonValue v = JsonValue::parse(os.str());
+  ASSERT_EQ(v.members().size(), 3u);
+  EXPECT_EQ(v.members()[0].first, kNastyName);
+  EXPECT_EQ(v.members()[0].second.asString(), kNastyName);
+  EXPECT_EQ(v.members()[1].first, nasty);
+  EXPECT_EQ(v.members()[1].second.asString(), nasty);
+  EXPECT_EQ(v.at("list").items()[0].asString(), nasty);
+  EXPECT_EQ(v.at("list").items()[1].asString(), kNastyName);
+}
+
+TEST(JsonWriterRoundTrip, NestedAndEmptyContainersInBothLayouts) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject(Layout::Lines);
+  w.key("lines").beginObject(Layout::Lines);
+  w.key("inline").beginArray().value(1L);
+  w.beginObject(Layout::Lines).member("deep", 2L).end();
+  w.beginArray(Layout::Inline).end();
+  w.end();
+  w.key("empty_lines_object").beginObject(Layout::Lines).end();
+  w.key("empty_lines_array").beginArray(Layout::Lines).end();
+  w.end();
+  w.key("empty_inline_object").beginObject().end();
+  w.key("empty_inline_array").beginArray().end();
+  w.end();
+
+  const JsonValue v = JsonValue::parse(os.str());
+  const JsonValue& lines = v.at("lines");
+  const auto& items = lines.at("inline").items();
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].asLong(), 1);
+  EXPECT_EQ(items[1].at("deep").asLong(), 2);
+  EXPECT_TRUE(items[2].isArray());
+  EXPECT_TRUE(items[2].items().empty());
+  EXPECT_TRUE(lines.at("empty_lines_object").members().empty());
+  EXPECT_TRUE(lines.at("empty_lines_array").items().empty());
+  EXPECT_TRUE(v.at("empty_inline_object").members().empty());
+  EXPECT_TRUE(v.at("empty_inline_array").items().empty());
+  // Empty containers stay on one line in either layout.
+  EXPECT_NE(os.str().find("\"empty_lines_object\": {},"), std::string::npos);
+  EXPECT_NE(os.str().find("\"empty_lines_array\": []\n"), std::string::npos);
+}
+
+TEST(JsonWriterRoundTrip, BoolsAndIntegersStayDistinct) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject()
+      .member("yes", true)
+      .member("no", false)
+      .member("one", 1)
+      .member("zero", 0L)
+      .member("big", std::uint64_t{1} << 53)
+      .member("half", 0.5)
+      .end();
+  EXPECT_EQ(os.str(),
+            R"({"yes": true, "no": false, "one": 1, "zero": 0, )"
+            R"("big": 9007199254740992, "half": 0.5})");
+
+  const JsonValue v = JsonValue::parse(os.str());
+  EXPECT_TRUE(v.at("yes").isBool());
+  EXPECT_TRUE(v.at("yes").asBool());
+  EXPECT_FALSE(v.at("no").asBool());
+  EXPECT_TRUE(v.at("one").isNumber());
+  EXPECT_EQ(v.at("one").asLong(), 1);
+  EXPECT_TRUE(v.at("zero").isNumber());
+  EXPECT_EQ(v.at("big").asNumber(), 9007199254740992.0);
+}
+
+TEST(JsonWriterRoundTrip, RawSpliceIsVerbatim) {
+  const std::string dump = "{\"flight\": {\n  \"places\": 2\n}}";
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginArray(Layout::Lines).raw(dump);
+  w.beginObject().key("flight").raw(dump).member("after", 1).end().end();
+  EXPECT_EQ(os.str(), "[\n  " + dump + ",\n  {\"flight\": " + dump +
+                          ", \"after\": 1}\n]");
+
+  const JsonValue v = JsonValue::parse(os.str());
+  EXPECT_EQ(v.items()[0].at("flight").at("places").asLong(), 2);
+  EXPECT_EQ(v.items()[1].at("flight").at("flight").at("places").asLong(), 2);
+}
+
+TEST(JsonWriterRoundTrip, PinsTheBytesOfAMixedLayoutDocument) {
+  // The layout contract every artifact relies on: a change here changes
+  // chaos reports, Chrome traces, metrics and BENCH files byte for byte.
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject(Layout::Lines).key("doc").beginObject(Layout::Lines);
+  w.member("name", "a\"b").member("ratio", 1.0 / 3.0).member("n", -7);
+  w.key("tags").beginArray().value("x").value(2.5e-7).end();
+  w.key("rows").beginArray(Layout::Lines);
+  w.beginObject().member("k", 1).member("ok", true).end();
+  w.beginObject().member("k", 2).key("sub").beginObject().end().end();
+  w.end().key("empty").beginArray(Layout::Lines).end();
+  w.end().key("inline").beginObject().key("lines").beginArray(Layout::Lines);
+  w.value(1).value(2).end().end().end();
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"doc\": {\n"
+            "    \"name\": \"a\\\"b\",\n"
+            "    \"ratio\": 0.333333333333,\n"
+            "    \"n\": -7,\n"
+            "    \"tags\": [\"x\", 2.5e-07],\n"
+            "    \"rows\": [\n"
+            "      {\"k\": 1, \"ok\": true},\n"
+            "      {\"k\": 2, \"sub\": {}}\n"
+            "    ],\n"
+            "    \"empty\": []\n"
+            "  },\n"
+            "  \"inline\": {\"lines\": [\n"
+            "    1,\n"
+            "    2\n"
+            "  ]}\n"
+            "}");
+  EXPECT_EQ(jsonNumber(0.1), "0.1");
+  EXPECT_EQ(jsonNumber(123456789.123456789), "123456789.123");
 }
 
 // ---- attribution ----------------------------------------------------------
