@@ -55,16 +55,17 @@ void PageRankResilient::step() {
   rt.at(pg_(0), [&] {
     // Uncharged harness instrumentation: snapshot the old ranks before
     // they are overwritten so the L1 step delta (convergenceMetric) can
-    // be computed without touching the simulated cost model.
+    // be computed without touching the simulated cost model. The buffer
+    // is a member, so a step copies the ranks without allocating.
     const auto oldRanks = p_.local().span();
-    std::vector<double> prev(oldRanks.begin(), oldRanks.end());
+    prevRanks_.assign(oldRanks.begin(), oldRanks.end());
     gp_.copyTo(p_.local());
     la::addScalar(p_.local().span(), utp1a);
     rt.chargeDenseFlops(static_cast<double>(n));
     double delta = 0.0;
     const auto newRanks = p_.local().span();
-    for (std::size_t i = 0; i < prev.size(); ++i) {
-      delta += std::abs(newRanks[i] - prev[i]);
+    for (std::size_t i = 0; i < prevRanks_.size(); ++i) {
+      delta += std::abs(newRanks[i] - prevRanks_[i]);
     }
     rankDelta_ = delta;
   });

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "apps/pagerank.h"
 #include "framework/resilient_executor.h"
@@ -56,6 +57,7 @@ class PageRankResilient final : public framework::ResilientIterativeApp {
   gml::DistVector gp_;  ///< scratch
   resilient::SnapshottableScalars scalars_;  ///< {iteration}
 
+  std::vector<double> prevRanks_;  ///< step()'s copy of the old ranks
   double rankDelta_ = std::numeric_limits<double>::quiet_NaN();
   long iteration_ = 0;
 };

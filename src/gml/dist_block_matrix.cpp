@@ -332,16 +332,17 @@ void DistBlockMatrix::remakeRebalance(const PlaceGroup& newPg) {
 }
 
 namespace {
-std::shared_ptr<const resilient::SnapshotValue> blockValue(
-    const la::MatrixBlock& block, bool sparse) {
+void saveBlock(resilient::Snapshot& snapshot, long blockId,
+               const la::MatrixBlock& block, bool sparse) {
   if (sparse) {
-    return std::make_shared<resilient::SparseBlockValue>(
-        block.sparse(), block.blockRow(), block.blockCol(),
-        block.rowOffset(), block.colOffset());
+    snapshot.emplace<resilient::SparseBlockValue>(
+        blockId, block.version(), block.sparse(), block.blockRow(),
+        block.blockCol(), block.rowOffset(), block.colOffset());
+  } else {
+    snapshot.emplace<resilient::DenseBlockValue>(
+        blockId, block.version(), block.dense(), block.blockRow(),
+        block.blockCol(), block.rowOffset(), block.colOffset());
   }
-  return std::make_shared<resilient::DenseBlockValue>(
-      block.dense(), block.blockRow(), block.blockCol(), block.rowOffset(),
-      block.colOffset());
 }
 }  // namespace
 
@@ -351,7 +352,7 @@ std::shared_ptr<resilient::Snapshot> DistBlockMatrix::makeSnapshot() const {
   ateach(pg_, [&](Place) {
     for (const la::MatrixBlock& block : localBlockSet()) {
       const long blockId = grid_.blockId(block.blockRow(), block.blockCol());
-      snapshot->save(blockId, blockValue(block, sparse_), block.version());
+      saveBlock(*snapshot, blockId, block, sparse_);
     }
   });
   return snapshot;
@@ -400,7 +401,7 @@ std::shared_ptr<resilient::Snapshot> DistBlockMatrix::makeDeltaSnapshot(
     for (const la::MatrixBlock& block : localBlockSet()) {
       const long blockId = grid_.blockId(block.blockRow(), block.blockCol());
       if (!snapshot->carryForward(blockId, prev, block.version())) {
-        snapshot->save(blockId, blockValue(block, sparse_), block.version());
+        saveBlock(*snapshot, blockId, block, sparse_);
       }
     }
   });

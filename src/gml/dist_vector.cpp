@@ -473,8 +473,8 @@ std::shared_ptr<resilient::Snapshot> DistVector::makeSnapshot() const {
   auto snapshot = std::make_shared<resilient::Snapshot>(pg_);
   ateach(pg_, [&](Place p) {
     const long idx = pg_.indexOf(p);
-    snapshot->save(idx, std::make_shared<resilient::VectorValue>(
-                            localSegment(), segOffset(idx)));
+    snapshot->emplace<resilient::VectorValue>(idx, 0, localSegment(),
+                                              segOffset(idx));
   });
   return snapshot;
 }

@@ -75,8 +75,7 @@ std::shared_ptr<resilient::Snapshot> DupDenseMatrix::makeSnapshot() const {
   // One replica (plus its backup) captures the duplicated object.
   auto snapshot = std::make_shared<resilient::Snapshot>(pg_);
   Runtime::world().at(pg_(0), [&] {
-    snapshot->save(0, std::make_shared<resilient::DenseBlockValue>(
-                          local(), 0, 0, 0, 0));
+    snapshot->emplace<resilient::DenseBlockValue>(0, 0, local(), 0, 0, 0, 0);
   });
   return snapshot;
 }

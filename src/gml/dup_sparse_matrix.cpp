@@ -80,8 +80,8 @@ std::shared_ptr<resilient::Snapshot> DupSparseMatrix::makeSnapshot() const {
   // One replica (plus its backup) captures the duplicated object.
   auto snapshot = std::make_shared<resilient::Snapshot>(pg_);
   Runtime::world().at(pg_(0), [&] {
-    snapshot->save(0, std::make_shared<resilient::SparseBlockValue>(
-                          local(), 0, 0, 0, 0));
+    snapshot->emplace<resilient::SparseBlockValue>(0, 0, local(), 0, 0, 0,
+                                                   0);
   });
   return snapshot;
 }

@@ -319,7 +319,7 @@ std::shared_ptr<resilient::Snapshot> DupVector::makeSnapshot() const {
   // of the replica count.
   auto snapshot = std::make_shared<resilient::Snapshot>(pg_);
   Runtime::world().at(pg_(0), [&] {
-    snapshot->save(0, std::make_shared<resilient::VectorValue>(local(), 0));
+    snapshot->emplace<resilient::VectorValue>(0, 0, local(), 0);
   });
   return snapshot;
 }

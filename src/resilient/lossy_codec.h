@@ -26,10 +26,12 @@
 // counter would corrupt `static_cast<long>(scalars[i])` restores.
 //
 // The active codec is a thread-local scope (CodecScope, mirroring
-// ReplicationScope): Snapshot::save() encodes every eligible value while
-// a scope is active, so all Snapshottables get lossy checkpointing with
-// zero per-class changes, and all byte accounting (fresh/carried/replica
-// charges) sees encoded wire bytes by construction.
+// ReplicationScope): a Snapshot constructed while a scope is active keeps
+// its config and encodes every eligible value its save() stores — on
+// whichever thread the save runs — so all Snapshottables get lossy
+// checkpointing with zero per-class changes, and all byte accounting
+// (fresh/carried/replica charges) sees encoded wire bytes by
+// construction.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +50,9 @@ struct LossyConfig {
   double errorBound = 0.0;
 };
 
-/// RAII thread-local codec activation: while alive, Snapshot::save()
-/// encodes every eligible value with `cfg`. Nesting restores the outer
-/// scope on destruction.
+/// RAII thread-local codec activation: a Snapshot constructed on this
+/// thread while the scope is alive encodes every eligible value it saves
+/// with `cfg`. Nesting restores the outer scope on destruction.
 class CodecScope {
  public:
   explicit CodecScope(const LossyConfig& cfg);

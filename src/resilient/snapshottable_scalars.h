@@ -28,7 +28,7 @@ class SnapshottableScalars final : public Snapshottable {
   [[nodiscard]] std::shared_ptr<Snapshot> makeSnapshot() const override {
     auto snapshot = std::make_shared<Snapshot>(pg_);
     apgas::Runtime::world().at(pg_(0), [&] {
-      snapshot->save(0, std::make_shared<ScalarsValue>(values_));
+      snapshot->emplace<ScalarsValue>(0, 0, values_);
     });
     return snapshot;
   }

@@ -13,6 +13,7 @@
 #include "apgas/runtime.h"
 #include "framework/resilient_executor.h"
 #include "gml/dist_block_matrix.h"
+#include "gml/dist_vector.h"
 #include "harness/golden.h"
 #include "obs/trace_sink.h"
 #include "resilient/app_resilient_store.h"
@@ -287,6 +288,58 @@ TEST(LossyExecutorTest, MidCheckpointKillConvergesWithinTolerance) {
   }
   EXPECT_TRUE(sawPostRestoreSave)
       << "expected a post-restore checkpoint save";
+}
+
+// On the Threads backend each place's part of a collective save runs on
+// that place's own worker thread, where the store's CodecScope is not
+// open. The Snapshot captures the codec when it is constructed, so every
+// place encodes — the fresh and encoded byte counts equal the simulated
+// backend's, where all places share one thread.
+TEST(LossyBackendTest, EveryPlaceEncodesOnBothBackends) {
+  struct Bytes {
+    std::uint64_t fresh = 0, raw = 0, encoded = 0;
+    bool operator==(const Bytes&) const = default;
+  };
+  const auto run = [](apgas::Backend backend, CheckpointMode mode) {
+    apgas::RuntimeConfig cfg;
+    cfg.numPlaces = 3;
+    cfg.resilientFinish = true;
+    cfg.backend = backend;
+    Runtime::init(cfg);
+    obs::TraceSink sink;
+    obs::SinkScope scope(&sink);
+    const PlaceGroup pg = PlaceGroup::firstPlaces(3);
+    gml::DistVector v = gml::DistVector::make(30000, pg);
+    v.init([](long i) { return std::sin(1e-3 * static_cast<double>(i)); });
+    DistBlockMatrix m = DistBlockMatrix::makeDense(60, 60, 3, 1, 3, 1, pg);
+    m.initRandom(5);
+    AppResilientStore store;
+    store.setMode(mode);
+    store.setLossyConfig(LossyConfig{1e-3});
+    Bytes out;
+    for (long iter = 1; iter <= 2; ++iter) {
+      store.setIteration(iter);
+      store.startNewSnapshot();
+      store.save(v);
+      store.save(m);
+      store.commit();
+      out.fresh += store.lastCheckpointStats().freshBytes;
+      v.scale(0.5);
+      m.scale(2.0);
+    }
+    out.raw = sink.metrics().counter("snapshot.raw_bytes");
+    out.encoded = sink.metrics().counter("snapshot.encoded_bytes");
+    return out;
+  };
+  for (const CheckpointMode mode :
+       {CheckpointMode::Lossy, CheckpointMode::DeltaLossy}) {
+    SCOPED_TRACE(resilient::toString(mode));
+    const Bytes simulated = run(apgas::Backend::Simulated, mode);
+    const Bytes threads = run(apgas::Backend::Threads, mode);
+    EXPECT_EQ(threads, simulated);
+    EXPECT_EQ(threads.encoded, threads.fresh);
+    EXPECT_LT(threads.encoded, threads.raw);
+  }
 }
 
 }  // namespace
