@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,6 +61,31 @@ inline std::size_t benchJobs(int argc, char** argv) {
     if (n >= 1) return static_cast<std::size_t>(n);
   }
   return harness::defaultJobCount();
+}
+
+/// The host's MemAvailable from /proc/meminfo in bytes, or 0 when it
+/// cannot be read.
+inline std::uint64_t availableMemoryBytes() {
+  std::ifstream in("/proc/meminfo");
+  std::string line;
+  constexpr std::string_view kKey = "MemAvailable:";
+  while (std::getline(in, line)) {
+    if (line.rfind(kKey, 0) == 0) {
+      return std::strtoull(line.c_str() + kKey.size(), nullptr, 10) * 1024;
+    }
+  }
+  return 0;
+}
+
+/// `jobs` capped for sweep rows that each hold up to `rowBytes` at once:
+/// as many of the largest rows as fit in half the host's available memory
+/// run together, leaving the other half to the rest of the host. At least
+/// one; exactly one when the available memory cannot be read.
+inline std::size_t jobsWithinMemory(std::size_t jobs,
+                                    std::uint64_t rowBytes) {
+  const std::uint64_t fit =
+      availableMemoryBytes() / 2 / std::max<std::uint64_t>(rowBytes, 1);
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>(fit, 1, jobs));
 }
 
 /// The argument after `flag` (e.g. "--bench-out"), or `dflt` when the

@@ -10,6 +10,8 @@
 // Checkpoints are measured directly (the iteration compute between them
 // contributes nothing to checkpoint time), with per-place data sized so
 // the snapshot transfers dominate the coordination fan-out.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "apps/linreg_resilient.h"
@@ -91,8 +93,19 @@ int main(int argc, char** argv) {
   bench::BenchTracer tracer(bench::benchTraceOut(argc, argv),
                             bench::benchMetricsOut(argc, argv));
   const std::vector<int> counts = apps::paperPlaceCounts();
-  bench::sweepRows(bench::benchJobs(argc, argv), counts.size(),
-                   [&](std::size_t i) {
+  // At its peak a LinReg/LogReg row holds its input X twice, the matrix
+  // and the first checkpoint's read-only copy (2 x 64 MB per place, 5.6 GB
+  // at 44 places), so run only as many rows at once as memory holds.
+  const long xDoublesPerPlace =
+      std::max(linreg.rowsPerPlace * linreg.features,
+               logreg.rowsPerPlace * logreg.features);
+  const long maxPlaces = *std::max_element(counts.begin(), counts.end());
+  const auto largestRowBytes =
+      static_cast<std::uint64_t>(2 * xDoublesPerPlace * maxPlaces) *
+      sizeof(double);
+  bench::sweepRows(
+      bench::jobsWithinMemory(bench::benchJobs(argc, argv), largestRowBytes),
+      counts.size(), [&](std::size_t i) {
     const int places = counts[i];
     const auto lin =
         tracer.traced(bench::rowf("linreg p%02d checkpoints", places), [&] {

@@ -6,8 +6,16 @@
 // entry for that place — exactly the failure mode the paper describes for
 // pre-resilient GML. `remake()` on the GML classes rebuilds the PLH over a
 // new place group.
+//
+// Access contract: code at a place reads its own object through local();
+// every charged access to another place's object goes through remote(),
+// the one-sided get/put that checks liveness and charges the transfer.
+// atPlace() is the raw lookup left for own-place lookups, uncharged walks
+// (verification and metadata) and collectives that charge their transfers
+// as a whole.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -63,10 +71,27 @@ class PlaceLocalHandle {
     return rt.heapGet(rt.here().id(), key_) != nullptr;
   }
 
-  /// Simulation-internal: the object stored at place `p` (nullptr if the
-  /// place is dead or holds none). Models X10's closure capture of remote
-  /// data; callers must charge the corresponding communication cost
-  /// (Runtime::chargeComm) for any bytes read or written through it.
+  /// One-sided get/put on the object at `owner`: runs `access(object)`,
+  /// which returns the bytes it moved, and charges them as one transfer
+  /// between the current place and `owner` (Runtime::chargeComm: a local
+  /// copy when `owner` is here, one data message otherwise, nothing for
+  /// 0). Throws DeadPlaceException(owner) without running `access` or
+  /// charging when `owner` is dead or holds no object. The object's
+  /// shared_ptr is held across the call, so a concurrent kill cannot free
+  /// it mid-copy.
+  template <class Access>
+  void remote(Place owner, Access&& access) const {
+    Runtime& rt = Runtime::world();
+    std::shared_ptr<T> obj;
+    if (!rt.isDead(owner.id())) obj = atPlace(owner.id());
+    if (!obj) throw DeadPlaceException(owner.id());
+    const std::uint64_t bytes = std::forward<Access>(access)(*obj);
+    if (bytes > 0) rt.chargeComm(owner, bytes);
+  }
+
+  /// The object stored at place `p` (nullptr if the place is dead or holds
+  /// none), with no liveness check and no cost accounting: for own-place
+  /// lookups and uncharged walks only. A charged access uses remote().
   [[nodiscard]] std::shared_ptr<T> atPlace(PlaceId p) const {
     return std::static_pointer_cast<T>(Runtime::world().heapGet(p, key_));
   }

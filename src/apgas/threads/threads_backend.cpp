@@ -209,7 +209,7 @@ bool ThreadsBackend::drainOne(Inbox& in) {
   }
   if (flight_) {
     // drainOne always runs on the inbox owner's thread (the worker, or a
-    // thread blocked in waitFinish/waitAt draining its own place).
+    // thread blocked in waitUntil draining its own place).
     const int queue = static_cast<int>(ctx().place);
     const double t = now();
     flightEvent(obs::flight::EventKind::Dequeue, queue, depth,
@@ -287,7 +287,8 @@ void ThreadsBackend::execute(TaskMsg& msg) {
 
 // ---- blocking waits (cooperative: drain own inbox) ------------------------
 
-void ThreadsBackend::waitFinish(FinishState& fs, Inbox& own) {
+template <class Done>
+void ThreadsBackend::waitUntil(Inbox& own, const Done& done) {
   for (;;) {
     if (drainOne(own)) continue;
     std::uint64_t epoch = 0;
@@ -295,42 +296,13 @@ void ThreadsBackend::waitFinish(FinishState& fs, Inbox& own) {
       std::lock_guard<std::mutex> lock(own.mu);
       epoch = own.epoch;
     }
-    // Epoch captured before the pending check: a completion that lands in
+    // Epoch captured before the done test: a completion that lands in
     // between bumps the epoch past `epoch`, so the wait below returns
     // immediately instead of sleeping through the wakeup. A message pushed
     // between drainOne() and the capture is covered by the queue check in
     // the predicate — its epoch bump is already folded into `epoch`, so the
     // epoch comparison alone would sleep through it.
-    {
-      std::lock_guard<std::mutex> lock(fs.mu);
-      if (fs.pending == 0) return;
-    }
-    const double waitStart = flight_ ? now() : 0.0;
-    long depthAfter = 0;
-    {
-      std::unique_lock<std::mutex> lock(own.mu);
-      own.cv.wait(lock,
-                  [&] { return own.epoch != epoch || !own.q.empty(); });
-      depthAfter = static_cast<long>(own.q.size());
-    }
-    if (flight_) {
-      const double t = now();
-      flightEvent(obs::flight::EventKind::InboxWait,
-                  static_cast<int>(ctx().place), depthAfter,
-                  t - waitStart, t);
-    }
-  }
-}
-
-void ThreadsBackend::waitAt(AtState& st, Inbox& own) {
-  for (;;) {
-    if (drainOne(own)) continue;
-    std::uint64_t epoch = 0;
-    {
-      std::lock_guard<std::mutex> lock(own.mu);
-      epoch = own.epoch;
-    }
-    if (st.done.load(std::memory_order_acquire)) return;
+    if (done()) return;
     const double waitStart = flight_ ? now() : 0.0;
     long depthAfter = 0;
     {
@@ -381,7 +353,10 @@ void ThreadsBackend::finish(const std::function<void()>& body) {
     flightEvent(obs::flight::EventKind::AckWaitBegin,
                 static_cast<int>(fs->home), spawned, 0.0, closeBegin);
   }
-  waitFinish(*fs, own);
+  waitUntil(own, [&] {
+    std::lock_guard<std::mutex> lock(fs->mu);
+    return fs->pending == 0;
+  });
   c.finishStack.pop_back();
   if (resilient) {
     // The finish cannot complete until the control thread has drained
@@ -479,7 +454,8 @@ void ThreadsBackend::at(Place p, const std::function<void()>& body) {
   msg.target = target;
   msg.sink = obs::TraceSink::current();
   if (!push(target, std::move(msg))) throw DeadPlaceException(target);
-  waitAt(*st, place(c.place).inbox);
+  waitUntil(place(c.place).inbox,
+            [&] { return st->done.load(std::memory_order_acquire); });
   if (st->error) std::rethrow_exception(st->error);
 }
 

@@ -170,10 +170,11 @@ class ThreadsBackend final : public Runtime {
   bool drainOne(Inbox& in);
   void execute(TaskMsg& msg);
   static void taskDone(FinishState& fs, Inbox& homeInbox);
-  /// Drain own inbox until fs has no pending tasks.
-  void waitFinish(FinishState& fs, Inbox& own);
-  /// Drain own inbox until the at() shift completes.
-  void waitAt(AtState& st, Inbox& own);
+  /// The one blocking wait, behind finish (no pending tasks) and at (the
+  /// shift completed): drain own inbox until `done()` holds, sleeping on
+  /// the inbox cv (an InboxWait flight event) while it is empty.
+  template <class Done>
+  void waitUntil(Inbox& own, const Done& done);
 
   void ctrlSend(CtrlMsg::Kind kind, AckWaiter* waiter = nullptr);
   void ctrlLoop();

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "apgas/runtime.h"
+#include "gml/collectives.h"
 #include "la/kernels.h"
 #include "la/rand.h"
 
@@ -106,23 +107,13 @@ double gnnmfStep(const gml::DistBlockMatrix& v, gml::DistBlockMatrix& w,
 
   // ---- Phase B: flat reduction at the root ------------------------------
   const Place root = h.placeGroup()(0);
-  if (root.isDead()) throw apgas::DeadPlaceException(root.id());
   la::DenseMatrix wtvTotal(k, n);
   la::DenseMatrix wtwTotal(k, k);
   double normSqTotal = 0.0;
   double dotWhTotal = 0.0;
-  apgas::finish([&] {
-    for (long i = 0; i < parts; ++i) {
-      const Place src = pg(static_cast<std::size_t>(i));
-      rt.asyncAt(root, [&, i, src] {
-        const auto bytes =
-            static_cast<std::uint64_t>(k * (n + k) + 2) * sizeof(double);
-        if (src == root) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          if (src.isDead()) throw apgas::DeadPlaceException(src.id());
-          rt.chargeComm(src, bytes);
-        }
+  gml::reduceAt(
+      root, pg, static_cast<std::uint64_t>(k * (n + k) + 2) * sizeof(double),
+      [&](long i) {
         la::cellAdd(wtv[static_cast<std::size_t>(i)].span(),
                     wtvTotal.span());
         la::cellAdd(wtw[static_cast<std::size_t>(i)].span(),
@@ -131,8 +122,6 @@ double gnnmfStep(const gml::DistBlockMatrix& v, gml::DistBlockMatrix& w,
         dotWhTotal += vDotWh[static_cast<std::size_t>(i)];
         rt.chargeDenseFlops(static_cast<double>(k * (n + k)));
       });
-    }
-  });
 
   // ---- Phase C: objective with the old factors, then the H update ------
   double objective = 0.0;

@@ -66,24 +66,14 @@ double kmeansStep(const gml::DistBlockMatrix& x, gml::DupDenseMatrix& c) {
     rt.chargeDenseFlops(flops);
   });
 
-  // Phase 2: flat reduction at the centroid root (cf. DupVector::transMult).
+  // Phase 2: flat reduction at the centroid root.
   const Place root = c.placeGroup()(0);
-  if (root.isDead()) throw apgas::DeadPlaceException(root.id());
   la::DenseMatrix total(k, d);
   std::vector<long> totalCount(static_cast<std::size_t>(k), 0);
   double inertia = 0.0;
-  apgas::finish([&] {
-    for (long i = 0; i < parts; ++i) {
-      const Place src = pg(static_cast<std::size_t>(i));
-      rt.asyncAt(root, [&, i, src] {
-        const auto bytes =
-            static_cast<std::uint64_t>(k * d + k + 1) * sizeof(double);
-        if (src == root) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          if (src.isDead()) throw apgas::DeadPlaceException(src.id());
-          rt.chargeComm(src, bytes);
-        }
+  gml::reduceAt(
+      root, pg, static_cast<std::uint64_t>(k * d + k + 1) * sizeof(double),
+      [&](long i) {
         la::cellAdd(sums[static_cast<std::size_t>(i)].span(), total.span());
         for (long cIdx = 0; cIdx < k; ++cIdx) {
           totalCount[static_cast<std::size_t>(cIdx)] +=
@@ -93,8 +83,6 @@ double kmeansStep(const gml::DistBlockMatrix& x, gml::DupDenseMatrix& c) {
         inertia += inertias[static_cast<std::size_t>(i)];
         rt.chargeDenseFlops(static_cast<double>(k * d + k));
       });
-    }
-  });
 
   // Phase 3: new centroids at the root (empty clusters keep their row),
   // then broadcast.

@@ -57,6 +57,22 @@ void chargeGather(const PlaceGroup& pg, std::size_t rootIdx,
   chargeBroadcast(pg, rootIdx, bytes);
 }
 
+void reduceAt(Place root, const PlaceGroup& pg, std::uint64_t bytes,
+              const std::function<void(long)>& fold) {
+  Runtime& rt = Runtime::world();
+  if (root.isDead()) throw apgas::DeadPlaceException(root.id());
+  apgas::finish([&] {
+    for (std::size_t i = 0; i < pg.size(); ++i) {
+      const Place src = pg(i);
+      rt.asyncAt(root, [&, i, src] {
+        if (src.isDead()) throw apgas::DeadPlaceException(src.id());
+        rt.chargeComm(src, bytes);
+        fold(static_cast<long>(i));
+      });
+    }
+  });
+}
+
 double allReduceSum(const PlaceGroup& pg,
                     const std::function<double(Place, long)>& local,
                     std::size_t rootIdx) {

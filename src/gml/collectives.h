@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "apgas/place_group.h"
@@ -35,6 +36,15 @@ void chargeTreeBroadcast(const apgas::PlaceGroup& pg, std::size_t rootIdx,
 /// Charge a flat gather of `bytes` from every member to pg(rootIdx).
 void chargeGather(const apgas::PlaceGroup& pg, std::size_t rootIdx,
                   std::size_t bytes);
+
+/// Flat reduction at `root`: one task per member of `pg`, all running at
+/// `root` (one worker there), so the transfers serialise on root's clock.
+/// Task i pulls `bytes` from pg(i) (Runtime::chargeComm, a local copy for
+/// root's own partial) and then runs fold(i), which combines partial i into
+/// the result and charges its own flops. Throws DeadPlaceException when
+/// `root` or a member is dead.
+void reduceAt(apgas::Place root, const apgas::PlaceGroup& pg,
+              std::uint64_t bytes, const std::function<void(long)>& fold);
 
 /// Run `local(place, index)` at every member of `pg` (one finish), then
 /// sum the per-place partial scalars with a flat gather at pg(rootIdx) and

@@ -180,20 +180,21 @@ double DistBlockMatrix::at(long i, long j) const {
   if (i < 0 || i >= rows() || j < 0 || j >= cols()) {
     throw apgas::ApgasError("DistBlockMatrix::at: out of range");
   }
-  Runtime& rt = Runtime::world();
   const long rb = grid_.rowBlockOf(i);
   const long cb = grid_.colBlockOf(j);
   const long idx = map_.placeIndexOf(grid_.blockId(rb, cb));
   const Place owner = pg_(static_cast<std::size_t>(idx));
-  if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-  auto bs = blocks_.atPlace(owner.id());
-  if (!bs) throw apgas::DeadPlaceException(owner.id());
-  const la::MatrixBlock* block = bs->find(rb, cb);
-  if (block == nullptr) {
-    throw apgas::ApgasError("DistBlockMatrix::at: block missing");
-  }
-  if (owner != rt.here()) rt.chargeComm(owner, sizeof(double));
-  return block->at(i - block->rowOffset(), j - block->colOffset());
+  double v = 0.0;
+  blocks_.remote(owner, [&](const la::BlockSet& bs) -> std::uint64_t {
+    const la::MatrixBlock* block = bs.find(rb, cb);
+    if (block == nullptr) {
+      throw apgas::ApgasError("DistBlockMatrix::at: block missing");
+    }
+    v = block->at(i - block->rowOffset(), j - block->colOffset());
+    // An element read in place moves nothing.
+    return owner == Runtime::world().here() ? 0 : sizeof(double);
+  });
+  return v;
 }
 
 la::DenseMatrix DistBlockMatrix::toDense() const {
@@ -201,7 +202,7 @@ la::DenseMatrix DistBlockMatrix::toDense() const {
   la::DenseMatrix out(rows(), cols());
   for (std::size_t s = 0; s < pg_.size(); ++s) {
     const Place owner = pg_(s);
-    auto bs = blocks_.atPlace(owner.id());
+    auto bs = blocks_.atPlace(owner.id());  // uncharged verification walk
     if (!bs) throw apgas::DeadPlaceException(owner.id());
     for (const la::MatrixBlock& block : *bs) {
       for (long j = 0; j < block.cols(); ++j) {
@@ -240,7 +241,7 @@ void DistBlockMatrix::cellAdd(const DistBlockMatrix& other) {
   }
   Runtime& rt = Runtime::world();
   ateach(pg_, [&](Place p) {
-    auto otherBs = other.blockSetAt(p.id());
+    auto otherBs = other.blockSetAt(p.id());  // own place: no transfer
     if (!otherBs) throw apgas::DeadPlaceException(p.id());
     for (la::MatrixBlock& block : localBlockSet()) {
       const la::MatrixBlock* src =
@@ -276,7 +277,7 @@ double DistBlockMatrix::normF() const {
 std::size_t DistBlockMatrix::totalBytes() const {
   std::size_t total = 0;
   for (std::size_t s = 0; s < pg_.size(); ++s) {
-    auto bs = blocks_.atPlace(pg_(s).id());
+    auto bs = blocks_.atPlace(pg_(s).id());  // uncharged metadata walk
     if (bs) total += bs->bytes();
   }
   return total;
@@ -286,7 +287,7 @@ double DistBlockMatrix::loadImbalance() const {
   std::size_t maxBytes = 0;
   std::size_t sumBytes = 0;
   for (std::size_t s = 0; s < pg_.size(); ++s) {
-    auto bs = blocks_.atPlace(pg_(s).id());
+    auto bs = blocks_.atPlace(pg_(s).id());  // uncharged metadata walk
     const std::size_t b = bs ? bs->bytes() : 0;
     maxBytes = std::max(maxBytes, b);
     sumBytes += b;
@@ -381,7 +382,7 @@ std::shared_ptr<resilient::Snapshot> DistBlockMatrix::makeDeltaSnapshot(
   std::uint64_t versionSum = 0;
   std::size_t blockCount = 0;
   for (apgas::PlaceId p : pg_) {
-    const auto blocks = blockSetAt(p);
+    const auto blocks = blockSetAt(p);  // uncharged: acks carried the versions
     if (!blocks) {
       versionSum = 0;
       blockCount = 0;

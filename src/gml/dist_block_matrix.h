@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "apgas/place_group.h"
 #include "apgas/place_local_handle.h"
@@ -62,10 +63,20 @@ class DistBlockMatrix final : public resilient::Snapshottable {
   /// The block set at the current place.
   [[nodiscard]] la::BlockSet& localBlockSet() const;
 
-  /// Inspection helper: the block set stored at place `p` (nullptr if the
-  /// place is dead). No cost accounting — tests and metadata queries only.
+  /// The block set stored at place `p` (nullptr if the place is dead or
+  /// holds none), with no cost accounting: for own-place lookups that
+  /// tolerate a place outside the group, and for uncharged verification
+  /// and metadata walks. Reading another place's blocks at a cost goes
+  /// through remoteBlockSet().
   [[nodiscard]] std::shared_ptr<la::BlockSet> blockSetAt(
       apgas::PlaceId p) const;
+
+  /// Runs `access` on the block set at `owner` and charges the bytes it
+  /// returns (apgas::PlaceLocalHandle::remote).
+  template <class Access>
+  void remoteBlockSet(apgas::Place owner, Access&& access) const {
+    blocks_.remote(owner, std::forward<Access>(access));
+  }
 
   /// Deterministic random fill. Element values depend only on (seed, i, j)
   /// for dense; sparse blocks draw a fresh pattern per block from the seed.

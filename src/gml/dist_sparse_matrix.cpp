@@ -35,7 +35,7 @@ long DistSparseMatrix::nnz() const {
   long total = 0;
   const auto& pg = inner_.placeGroup();
   for (std::size_t s = 0; s < pg.size(); ++s) {
-    auto bs = inner_.blockSetAt(pg(s).id());
+    auto bs = inner_.blockSetAt(pg(s).id());  // uncharged metadata walk
     if (!bs) throw apgas::DeadPlaceException(pg(s).id());
     for (const la::MatrixBlock& block : *bs) total += block.sparse().nnz();
   }

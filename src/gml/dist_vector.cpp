@@ -124,7 +124,7 @@ void DistVector::mult(const DistBlockMatrix& A, const DupVector& x) {
       la::Vector& seg = localSegment();
       seg.setAll(0.0);
       rt.chargeDenseFlops(static_cast<double>(seg.size()));
-      auto bs = A.blockSetAt(p.id());
+      auto bs = A.blockSetAt(p.id());  // own place: no transfer
       if (!bs) return;  // this place holds no blocks of A
       if (x.placeGroup().indexOf(p) < 0) {
         throw apgas::ApgasError(
@@ -184,18 +184,7 @@ void DistVector::mult(const DistBlockMatrix& A, const DupVector& x) {
       for (long s = sFirst; s <= sLast; ++s) {
         const long g0 = std::max(r0, segOffset(s));
         const long g1 = std::min(r1, segOffset(s) + segSize(s));
-        const auto bytes =
-            static_cast<std::uint64_t>(g1 - g0) * sizeof(double);
-        const Place owner = pg_(static_cast<std::size_t>(s));
-        if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-        if (owner == p) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          rt.chargeComm(owner, bytes);
-        }
-        auto seg = plh_.atPlace(owner.id());
-        if (!seg) throw apgas::DeadPlaceException(owner.id());
-        {
+        plh_.remote(pg_(static_cast<std::size_t>(s)), [&](la::Vector& seg) {
           // On the Threads backend several matrix places scatter-add into
           // the same owner segment concurrently; serialise the += so the
           // accumulation is race-free. The combine ORDER still depends on
@@ -204,10 +193,9 @@ void DistVector::mult(const DistBlockMatrix& A, const DupVector& x) {
           // matrices row-aligned and take the fast path above, which
           // writes only place-local segments.
           std::lock_guard<std::mutex> lock(*scatterMu_);
-          for (long g = g0; g < g1; ++g) {
-            (*seg)[g - segOffset(s)] += tmp[g - r0];
-          }
-        }
+          for (long g = g0; g < g1; ++g) seg[g - segOffset(s)] += tmp[g - r0];
+          return static_cast<std::uint64_t>(g1 - g0) * sizeof(double);
+        });
         rt.chargeDenseFlops(static_cast<double>(g1 - g0));
       }
     }
@@ -235,9 +223,9 @@ double DistVector::dot(const DistVector& o) const {
   if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
     throw apgas::ApgasError("DistVector::dot: incompatible distributions");
   }
-  return allReduceSum(pg_, [&](Place, long idx) {
+  return allReduceSum(pg_, [&](Place, long) {
     const la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(pg_(static_cast<std::size_t>(idx)).id());
+    const la::Vector& oseg = o.localSegment();
     Runtime::world().chargeDenseFlops(2.0 * static_cast<double>(seg.size()));
     return la::dot(seg.span(), oseg.span());
   });
@@ -255,9 +243,9 @@ void DistVector::cellAdd(const DistVector& o) {
   if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
     throw apgas::ApgasError("DistVector::cellAdd: incompatible distributions");
   }
-  ateach(pg_, [&](Place p) {
+  ateach(pg_, [&](Place) {
     la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(p.id());
+    const la::Vector& oseg = o.localSegment();
     la::cellAdd(oseg.span(), seg.span());
     Runtime::world().chargeDenseFlops(static_cast<double>(seg.size()));
   });
@@ -267,9 +255,9 @@ void DistVector::axpy(double a, const DistVector& x) {
   if (x.n_ != n_ || x.pg_.size() != pg_.size()) {
     throw apgas::ApgasError("DistVector::axpy: incompatible distributions");
   }
-  ateach(pg_, [&](Place p) {
+  ateach(pg_, [&](Place) {
     la::Vector& seg = localSegment();
-    const la::Vector& xseg = *x.plh_.atPlace(p.id());
+    const la::Vector& xseg = x.localSegment();
     la::axpy(a, xseg.span(), seg.span());
     Runtime::world().chargeDenseFlops(2.0 * static_cast<double>(seg.size()));
   });
@@ -280,9 +268,9 @@ void DistVector::cellMult(const DistVector& o) {
     throw apgas::ApgasError(
         "DistVector::cellMult: incompatible distributions");
   }
-  ateach(pg_, [&](Place p) {
+  ateach(pg_, [&](Place) {
     la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(p.id());
+    const la::Vector& oseg = o.localSegment();
     for (long i = 0; i < seg.size(); ++i) seg[i] *= oseg[i];
     Runtime::world().chargeDenseFlops(static_cast<double>(seg.size()));
   });
@@ -293,9 +281,9 @@ void DistVector::cellDiv(const DistVector& o) {
     throw apgas::ApgasError(
         "DistVector::cellDiv: incompatible distributions");
   }
-  ateach(pg_, [&](Place p) {
+  ateach(pg_, [&](Place) {
     la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(p.id());
+    const la::Vector& oseg = o.localSegment();
     for (long i = 0; i < seg.size(); ++i) seg[i] /= oseg[i];
     Runtime::world().chargeDenseFlops(static_cast<double>(seg.size()));
   });
@@ -353,9 +341,9 @@ void DistVector::copyFrom(const DistVector& o) {
     throw apgas::ApgasError(
         "DistVector::copyFrom: incompatible distributions");
   }
-  ateach(pg_, [&](Place p) {
+  ateach(pg_, [&](Place) {
     la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(p.id());
+    const la::Vector& oseg = o.localSegment();
     la::copy(oseg.span(), seg.span());
     Runtime::world().chargeLocalCopy(seg.bytes());
   });
@@ -382,7 +370,7 @@ void DistVector::map2(const DistVector& o,
   ateach(pg_, [&](Place p) {
     const long idx = pg_.indexOf(p);
     la::Vector& seg = localSegment();
-    const la::Vector& oseg = *o.plh_.atPlace(p.id());
+    const la::Vector& oseg = o.localSegment();
     const long off = segOffset(idx);
     for (long i = 0; i < seg.size(); ++i) {
       seg[i] = fn(seg[i], oseg[i], off + i);
@@ -406,22 +394,14 @@ void DistVector::copyTo(la::Vector& dst) const {
   if (dst.size() != n_) {
     throw apgas::ApgasError("DistVector::copyTo: size mismatch");
   }
-  Runtime& rt = Runtime::world();
-  const Place here = rt.here();
   for (std::size_t s = 0; s < pg_.size(); ++s) {
-    const Place owner = pg_(s);
-    if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-    auto seg = plh_.atPlace(owner.id());
-    if (!seg) throw apgas::DeadPlaceException(owner.id());
-    if (owner == here) {
-      rt.chargeLocalCopy(seg->bytes());
-    } else {
-      rt.chargeComm(owner, seg->bytes());
-    }
-    la::copy(seg->span(),
-             dst.span().subspan(
-                 static_cast<std::size_t>(segOffset(static_cast<long>(s))),
-                 static_cast<std::size_t>(seg->size())));
+    plh_.remote(pg_(s), [&](const la::Vector& seg) {
+      la::copy(seg.span(),
+               dst.span().subspan(
+                   static_cast<std::size_t>(segOffset(static_cast<long>(s))),
+                   static_cast<std::size_t>(seg.size())));
+      return seg.bytes();
+    });
   }
 }
 
@@ -429,35 +409,28 @@ void DistVector::copyFrom(const la::Vector& src) {
   if (src.size() != n_) {
     throw apgas::ApgasError("DistVector::copyFrom: size mismatch");
   }
-  Runtime& rt = Runtime::world();
-  const Place here = rt.here();
   for (std::size_t s = 0; s < pg_.size(); ++s) {
-    const Place owner = pg_(s);
-    if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-    auto seg = plh_.atPlace(owner.id());
-    if (!seg) throw apgas::DeadPlaceException(owner.id());
-    if (owner == here) {
-      rt.chargeLocalCopy(seg->bytes());
-    } else {
-      rt.chargeComm(owner, seg->bytes());
-    }
-    la::copy(src.span().subspan(
-                 static_cast<std::size_t>(segOffset(static_cast<long>(s))),
-                 static_cast<std::size_t>(seg->size())),
-             seg->span());
+    plh_.remote(pg_(s), [&](la::Vector& seg) {
+      la::copy(src.span().subspan(
+                   static_cast<std::size_t>(segOffset(static_cast<long>(s))),
+                   static_cast<std::size_t>(seg.size())),
+               seg.span());
+      return seg.bytes();
+    });
   }
 }
 
 double DistVector::at(long i) const {
   if (i < 0 || i >= n_) throw apgas::ApgasError("DistVector::at: range");
-  Runtime& rt = Runtime::world();
   const long s = la::Grid::segmentOf(n_, static_cast<long>(pg_.size()), i);
   const Place owner = pg_(static_cast<std::size_t>(s));
-  if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-  auto seg = plh_.atPlace(owner.id());
-  if (!seg) throw apgas::DeadPlaceException(owner.id());
-  if (owner != rt.here()) rt.chargeComm(owner, sizeof(double));
-  return (*seg)[i - segOffset(s)];
+  double v = 0.0;
+  plh_.remote(owner, [&](const la::Vector& seg) -> std::uint64_t {
+    v = seg[i - segOffset(s)];
+    // An element read in place moves nothing.
+    return owner == Runtime::world().here() ? 0 : sizeof(double);
+  });
+  return v;
 }
 
 void DistVector::remake(const PlaceGroup& newPg) {

@@ -43,11 +43,10 @@ void DupDenseMatrix::sync(std::size_t rootIdx) {
     const la::DenseMatrix& src = local();
     for (std::size_t i = 0; i < pg_.size(); ++i) {
       if (i == rootIdx) continue;
-      const Place member = pg_(i);
-      if (member.isDead()) throw apgas::DeadPlaceException(member.id());
-      rt.chargeComm(member, src.bytes());
-      auto dst = plh_.atPlace(member.id());
-      if (dst) la::copy(src.span(), dst->span());
+      plh_.remote(pg_(i), [&](la::DenseMatrix& dst) {
+        la::copy(src.span(), dst.span());
+        return src.bytes();
+      });
     }
   });
 }

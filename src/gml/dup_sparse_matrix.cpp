@@ -55,11 +55,10 @@ void DupSparseMatrix::sync(std::size_t rootIdx) {
     const la::SparseCSR& src = local();
     for (std::size_t i = 0; i < pg_.size(); ++i) {
       if (i == rootIdx) continue;
-      const Place member = pg_(i);
-      if (member.isDead()) throw apgas::DeadPlaceException(member.id());
-      rt.chargeComm(member, src.bytes());
-      auto dst = plh_.atPlace(member.id());
-      if (dst) *dst = src;
+      plh_.remote(pg_(i), [&](la::SparseCSR& dst) {
+        dst = src;
+        return src.bytes();
+      });
     }
   });
 }

@@ -67,7 +67,7 @@ void DupVector::sync(std::size_t rootIdx) {
       const la::Vector& src = local();
       for (std::size_t i = 0; i < pg_.size(); ++i) {
         if (i == rootIdx) continue;
-        auto dst = plh_.atPlace(pg_(i).id());
+        auto dst = plh_.atPlace(pg_(i).id());  // charged as a whole above
         if (dst) la::copy(src.span(), dst->span());
       }
     });
@@ -77,11 +77,10 @@ void DupVector::sync(std::size_t rootIdx) {
     const la::Vector& src = local();
     for (std::size_t i = 0; i < pg_.size(); ++i) {
       if (i == rootIdx) continue;
-      const Place member = pg_(i);
-      if (member.isDead()) throw apgas::DeadPlaceException(member.id());
-      rt.chargeComm(member, src.bytes());
-      auto dst = plh_.atPlace(member.id());
-      if (dst) la::copy(src.span(), dst->span());
+      plh_.remote(pg_(i), [&](la::Vector& dst) {
+        la::copy(src.span(), dst.span());
+        return src.bytes();
+      });
     }
   });
 }
@@ -175,22 +174,14 @@ void DupVector::transMult(const DistBlockMatrix& A, const DistVector& y) {
       for (long s = sFirst; s <= sLast; ++s) {
         const long g0 = std::max(r0, y.segOffset(s));
         const long g1 = std::min(r1, y.segOffset(s) + y.segSize(s));
+        const auto len = static_cast<std::size_t>(g1 - g0);
         const Place owner = y.placeGroup()(static_cast<std::size_t>(s));
-        if (owner.isDead()) throw apgas::DeadPlaceException(owner.id());
-        auto seg = y.plh_.atPlace(owner.id());
-        if (!seg) throw apgas::DeadPlaceException(owner.id());
-        const auto bytes =
-            static_cast<std::uint64_t>(g1 - g0) * sizeof(double);
-        if (owner == p) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          rt.chargeComm(owner, bytes);
-        }
-        la::copy(seg->span().subspan(
-                     static_cast<std::size_t>(g0 - y.segOffset(s)),
-                     static_cast<std::size_t>(g1 - g0)),
-                 ybuf.span().subspan(static_cast<std::size_t>(g0 - r0),
-                                     static_cast<std::size_t>(g1 - g0)));
+        y.plh_.remote(owner, [&](const la::Vector& seg) {
+          la::copy(seg.span().subspan(
+                       static_cast<std::size_t>(g0 - y.segOffset(s)), len),
+                   ybuf.span().subspan(static_cast<std::size_t>(g0 - r0), len));
+          return len * sizeof(double);
+        });
       }
       auto pslice =
           partial.span().subspan(static_cast<std::size_t>(block.colOffset()),
@@ -204,33 +195,19 @@ void DupVector::transMult(const DistBlockMatrix& A, const DistVector& y) {
     }
   });
 
-  // Phase 2: flat reduction at the root replica. One task per matrix
-  // place, all running at the root (one worker thread there), so the
-  // n-length transfers serialise on the root's clock.
+  // Phase 2: flat reduction of the partials at the root replica.
   const Place root = pg_(0);
-  if (root.isDead()) throw apgas::DeadPlaceException(root.id());
   rt.at(root, [&] {
     la::Vector& dst = local();
     dst.setAll(0.0);
     rt.chargeDenseFlops(static_cast<double>(n_));
   });
-  apgas::finish([&] {
-    for (long i = 0; i < numParts; ++i) {
-      const Place src = apg(static_cast<std::size_t>(i));
-      rt.asyncAt(root, [&, i, src] {
-        const auto bytes = static_cast<std::uint64_t>(n_) * sizeof(double);
-        if (src == root) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          if (src.isDead()) throw apgas::DeadPlaceException(src.id());
-          rt.chargeComm(src, bytes);
-        }
-        la::cellAdd(partials[static_cast<std::size_t>(i)].span(),
-                    local().span());
-        rt.chargeDenseFlops(static_cast<double>(n_));
-      });
-    }
-  });
+  reduceAt(root, apg, static_cast<std::uint64_t>(n_) * sizeof(double),
+           [&](long i) {
+             la::cellAdd(partials[static_cast<std::size_t>(i)].span(),
+                         local().span());
+             rt.chargeDenseFlops(static_cast<double>(n_));
+           });
 
   // ... Phase 3: broadcast the reduced result to every replica.
   sync(0);
@@ -296,11 +273,7 @@ void DupVector::remakeFromSurvivor(const PlaceGroup& newPg) {
     }
     try {
       rt.at(dst, [&] {
-        if (dst == src) {
-          rt.chargeLocalCopy(bytes);
-        } else {
-          rt.chargeComm(src, bytes);
-        }
+        rt.chargeComm(src, bytes);
         la::copy(saved.span(), local().span());
       });
     } catch (const apgas::DeadPlaceException& e) {

@@ -24,10 +24,9 @@ void chargeScatter(const DistBlockMatrix& a, const PlaceGroup& pg,
   rt.at(pg(0), [&] {
     rt.chargeSerialization(parsedBytes);  // parse/tokenise at the root
     for (std::size_t s = 0; s < pg.size(); ++s) {
-      auto bs = a.blockSetAt(pg(s).id());
-      if (!bs) throw apgas::DeadPlaceException(pg(s).id());
-      if (pg(s) == pg(0)) continue;
-      rt.chargeComm(pg(s), bs->bytes());
+      a.remoteBlockSet(pg(s), [&](const la::BlockSet& bs) -> std::uint64_t {
+        return s == 0 ? 0 : bs.bytes();  // the root's blocks stay put
+      });
     }
   });
 }

@@ -131,7 +131,7 @@ SolveResult jacobi(const DistBlockMatrix& A, const DistVector& b,
     const long idx = pg.indexOf(p);
     la::Vector& seg = diag.localSegment();
     const long off = diag.segOffset(idx);
-    auto bs = A.blockSetAt(p.id());
+    auto bs = A.blockSetAt(p.id());  // own place: no transfer
     if (!bs) throw apgas::DeadPlaceException(p.id());
     for (const la::MatrixBlock& block : *bs) {
       for (long i = 0; i < block.rows(); ++i) {
@@ -203,26 +203,23 @@ void JacobiPreconditioner::setup(const DistBlockMatrix& A) {
   }
   const long n = A.rows();
   invDiag_ = la::Vector(n);
-  Runtime& rt = Runtime::world();
-  const Place here = rt.here();
+  const Place here = Runtime::world().here();
   for (apgas::PlaceId p : A.placeGroup()) {
-    const auto bs = A.blockSetAt(p);
-    if (!bs) throw apgas::DeadPlaceException(p);
-    long pulled = 0;
-    for (const la::MatrixBlock& block : *bs) {
-      const long r0 = block.rowOffset();
-      const long c0 = block.colOffset();
-      const long lo = std::max(r0, c0);
-      const long hi = std::min(r0 + block.rows(), c0 + block.cols());
-      for (long g = lo; g < hi; ++g) {
-        invDiag_[g] = block.at(g - r0, g - c0);
+    A.remoteBlockSet(Place(p), [&](const la::BlockSet& bs) -> std::uint64_t {
+      std::uint64_t pulled = 0;
+      for (const la::MatrixBlock& block : bs) {
+        const long r0 = block.rowOffset();
+        const long c0 = block.colOffset();
+        const long lo = std::max(r0, c0);
+        const long hi = std::min(r0 + block.rows(), c0 + block.cols());
+        for (long g = lo; g < hi; ++g) {
+          invDiag_[g] = block.at(g - r0, g - c0);
+        }
+        pulled += static_cast<std::uint64_t>(std::max(0L, hi - lo));
       }
-      pulled += std::max(0L, hi - lo);
-    }
-    if (pulled > 0 && Place(p) != here) {
-      rt.chargeComm(Place(p),
-                    static_cast<std::uint64_t>(pulled) * sizeof(double));
-    }
+      // The caller's own blocks are read in place.
+      return Place(p) == here ? 0 : pulled * sizeof(double);
+    });
   }
   for (long i = 0; i < n; ++i) {
     if (!safePivot(invDiag_[i])) {
@@ -255,15 +252,16 @@ void Ilu0Preconditioner::setup(const DistBlockMatrix& A) {
   // and replicated, which keeps apply() independent of A's partitioning.
   la::SparseCSR global(n, n);
   for (apgas::PlaceId p : A.placeGroup()) {
-    const auto bs = A.blockSetAt(p);
-    if (!bs) throw apgas::DeadPlaceException(p);
-    std::uint64_t bytes = 0;
-    for (const la::MatrixBlock& block : *bs) {
-      global.pasteSubFrom(block.sparse(), block.rowOffset(),
-                          block.colOffset());
-      bytes += block.bytes();
-    }
-    if (bytes > 0 && Place(p) != here) rt.chargeComm(Place(p), bytes);
+    A.remoteBlockSet(Place(p), [&](const la::BlockSet& bs) -> std::uint64_t {
+      std::uint64_t bytes = 0;
+      for (const la::MatrixBlock& block : bs) {
+        global.pasteSubFrom(block.sparse(), block.rowOffset(),
+                            block.colOffset());
+        bytes += block.bytes();
+      }
+      // The caller's own blocks are read in place.
+      return Place(p) == here ? 0 : bytes;
+    });
   }
   factors_ = la::ilu0Factor(global);
   // Factorization cost ~ one pattern-restricted elimination pass.

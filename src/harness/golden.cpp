@@ -86,7 +86,7 @@ void sparseSummary(const gml::DistBlockMatrix& m, ResultDigest& out) {
   long nnz = 0;
   double sum = 0.0;
   for (apgas::PlaceId p : m.placeGroup()) {
-    const auto set = m.blockSetAt(p);
+    const auto set = m.blockSetAt(p);  // uncharged metadata walk
     if (!set) continue;
     for (const la::MatrixBlock& block : *set) {
       if (!block.isSparse()) continue;

@@ -18,10 +18,6 @@ const char* toString(EventKind kind) {
       return "ack_wait_begin";
     case EventKind::AckWaitEnd:
       return "ack_wait_end";
-    case EventKind::CtrlEnqueue:
-      return "ctrl_enqueue";
-    case EventKind::CtrlDequeue:
-      return "ctrl_dequeue";
     case EventKind::Kill:
       return "kill";
     case EventKind::HeapWipe:

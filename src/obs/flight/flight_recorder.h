@@ -60,8 +60,6 @@ enum class EventKind : int {
                  ///< (depth = tasks spawned so far)
   AckWaitEnd,    ///< finish fully closed (value = close duration in
                  ///< seconds since AckWaitBegin, depth = total tasks)
-  CtrlEnqueue,   ///< bookkeeping message pushed to the control queue
-  CtrlDequeue,   ///< control thread popped one (value = queue latency)
   Kill,          ///< place marked dead
   HeapWipe,      ///< victim's heap destroyed
   Poison,        ///< inbox poisoned (depth = orphaned messages)
