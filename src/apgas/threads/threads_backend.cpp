@@ -567,7 +567,7 @@ void ThreadsBackend::workerLoop(PlaceId p) {
   c.place = p;
   obs::TidScope tidScope(obs::osThreadTag());
   if (flight_) {
-    flight_->bindCurrentThread("p" + std::to_string(p),
+    flight_->bindCurrentThread(obs::flight::queueName(static_cast<int>(p)),
                                static_cast<int>(p));
   }
   Inbox& in = place(p).inbox;

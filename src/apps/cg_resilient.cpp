@@ -18,6 +18,9 @@ la::SparseCSR spdBandMatrix(long n, long band) {
   std::vector<long> rowPtr(static_cast<std::size_t>(n) + 1, 0);
   std::vector<long> colIdx;
   std::vector<double> values;
+  const auto maxNnz = static_cast<std::size_t>(n * (2 * band + 1));
+  colIdx.reserve(maxNnz);
+  values.reserve(maxNnz);
   for (long i = 0; i < n; ++i) {
     const long lo = std::max(0L, i - band);
     const long hi = std::min(n - 1, i + band);

@@ -18,6 +18,9 @@ la::SparseCSR bandMatrix(long n, long band) {
   std::vector<long> rowPtr(static_cast<std::size_t>(n) + 1, 0);
   std::vector<long> colIdx;
   std::vector<double> values;
+  const auto maxNnz = static_cast<std::size_t>(n * (2 * band + 1));
+  colIdx.reserve(maxNnz);
+  values.reserve(maxNnz);
   for (long i = 0; i < n; ++i) {
     const long lo = std::max(0L, i - band);
     const long hi = std::min(n - 1, i + band);
@@ -69,7 +72,7 @@ void GmresResilient::step() {
   // at the end of the cycle, after every collective has succeeded, which
   // is what makes iteration-boundary failures recoverable in place.
   const gml::SolveResult res =
-      gml::gmres(A_, b_, x_, M_, config_.restart, 1, 0.0);
+      gml::gmres(A_, b_, x_, M_, ws_, config_.restart, 1, 0.0);
   residual_ = res.residual;
   ++iteration_;
 }

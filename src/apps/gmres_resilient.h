@@ -3,17 +3,22 @@
 //
 // step() runs ONE restart cycle (m inner Arnoldi steps + the
 // least-squares update of x), so the persistent state between steps is
-// just the iterate x plus two scalars: the Krylov basis lives and dies
-// inside a cycle. That makes GMRES the cheapest app to checkpoint and
-// the best case for algorithm-based recovery — on a failure, A and b are
-// reloaded from the replicated store, x is re-broadcast from any
-// surviving replica, the ILU(0) preconditioner is refactored
-// deterministically from A's values, and the run continues from the
-// CURRENT cycle with zero rollback (supportsAlgorithmRecovery() ==
-// true). The same boundary-kill consistency requirement as CgResilient
-// applies: the first collective of a cycle touches only scratch, so
-// iteration-boundary failures surface before x mutates; mid-step
-// dispatch kills need the rollback modes.
+// just the iterate x plus two scalars: the Krylov basis's values live
+// and die inside a cycle. That makes GMRES the cheapest app to
+// checkpoint and the best case for algorithm-based recovery — on a
+// failure, A and b are reloaded from the replicated store, x is
+// re-broadcast from any surviving replica, the ILU(0) preconditioner is
+// refactored deterministically from A's values, and the run continues
+// from the CURRENT cycle with zero rollback (supportsAlgorithmRecovery()
+// == true). The same boundary-kill consistency requirement as
+// CgResilient applies: the first collective of a cycle touches only
+// scratch, so iteration-boundary failures surface before x mutates;
+// mid-step dispatch kills need the rollback modes.
+//
+// The basis's storage persists: the app holds one gml::GmresWorkspace
+// that every cycle reuses, so a steady cycle makes no place-local
+// object. Neither init() nor restore() builds it; the first cycle over
+// a new place group remakes it there and erases the old one.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +82,7 @@ class GmresResilient final : public framework::ResilientIterativeApp {
   gml::DistVector b_;       ///< read-only
   gml::DupVector x_;
   gml::Ilu0Preconditioner M_;                ///< refactored from A on restore
+  gml::GmresWorkspace ws_;  ///< cycle scratch; never checkpointed
   resilient::SnapshottableScalars scalars_;  ///< {residual, iteration}
 
   double residual_ = 0.0;

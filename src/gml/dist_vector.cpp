@@ -220,7 +220,7 @@ double DistVector::dot(const DupVector& x) const {
 }
 
 double DistVector::dot(const DistVector& o) const {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError("DistVector::dot: incompatible distributions");
   }
   return allReduceSum(pg_, [&](Place, long) {
@@ -240,7 +240,7 @@ void DistVector::scale(double a) {
 }
 
 void DistVector::cellAdd(const DistVector& o) {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError("DistVector::cellAdd: incompatible distributions");
   }
   ateach(pg_, [&](Place) {
@@ -252,7 +252,7 @@ void DistVector::cellAdd(const DistVector& o) {
 }
 
 void DistVector::axpy(double a, const DistVector& x) {
-  if (x.n_ != n_ || x.pg_.size() != pg_.size()) {
+  if (x.n_ != n_ || x.pg_ != pg_) {
     throw apgas::ApgasError("DistVector::axpy: incompatible distributions");
   }
   ateach(pg_, [&](Place) {
@@ -264,7 +264,7 @@ void DistVector::axpy(double a, const DistVector& x) {
 }
 
 void DistVector::cellMult(const DistVector& o) {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError(
         "DistVector::cellMult: incompatible distributions");
   }
@@ -277,7 +277,7 @@ void DistVector::cellMult(const DistVector& o) {
 }
 
 void DistVector::cellDiv(const DistVector& o) {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError(
         "DistVector::cellDiv: incompatible distributions");
   }
@@ -337,7 +337,7 @@ double DistVector::min() const {
 }
 
 void DistVector::copyFrom(const DistVector& o) {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError(
         "DistVector::copyFrom: incompatible distributions");
   }
@@ -364,7 +364,7 @@ void DistVector::map(const std::function<double(double, long)>& fn,
 void DistVector::map2(const DistVector& o,
                       const std::function<double(double, double, long)>& fn,
                       double flopsPerElement) {
-  if (o.n_ != n_ || o.pg_.size() != pg_.size()) {
+  if (o.n_ != n_ || o.pg_ != pg_) {
     throw apgas::ApgasError("DistVector::map2: incompatible distributions");
   }
   ateach(pg_, [&](Place p) {

@@ -63,17 +63,24 @@ class DistVector final : public resilient::Snapshottable {
 
   /// sum_i this_i * x_i with x duplicated: local dots + scalar reduction.
   [[nodiscard]] double dot(const DupVector& x) const;
-  /// sum_i this_i * o_i; both distributed (segmentations must match).
+
+  // The ops below that take a second DistVector (dot, cellAdd, axpy,
+  // cellMult, cellDiv, copyFrom, map2) combine each place's segment with
+  // the other vector's segment at the same place, so both must have the
+  // same length over an equal place group (same places, same order);
+  // otherwise they throw ApgasError "incompatible distributions".
+
+  /// sum_i this_i * o_i; both distributed.
   [[nodiscard]] double dot(const DistVector& o) const;
 
   void scale(double a);
   void cellAdd(const DistVector& o);
-  /// this += a * x (matching distribution).
+  /// this += a * x.
   void axpy(double a, const DistVector& x);
-  /// Elementwise multiply / divide by a matching distribution.
+  /// Elementwise multiply / divide.
   void cellMult(const DistVector& o);
   void cellDiv(const DistVector& o);
-  /// Segment-wise copy from a matching distribution.
+  /// Segment-wise copy.
   void copyFrom(const DistVector& o);
   /// Take this vector's elements from a duplicated vector's replica.
   void copyFromDup(const DupVector& src);
@@ -104,6 +111,10 @@ class DistVector final : public resilient::Snapshottable {
 
   /// Repartition over `newPg` (balanced segmentation; contents zeroed).
   void remake(const apgas::PlaceGroup& newPg);
+
+  /// Erase the segments on every place; copies that alias them find none
+  /// afterwards, and only make() or remake() allocates again.
+  void destroy() { plh_.destroy(); }
 
   // -- Snapshottable ------------------------------------------------------
   /// Keys are place indices; values carry the segment plus its global

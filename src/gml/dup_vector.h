@@ -84,6 +84,10 @@ class DupVector final : public resilient::Snapshottable {
   /// number of places.
   void remake(const apgas::PlaceGroup& newPg);
 
+  /// Erase the replicas on every place; copies that alias them find none
+  /// afterwards, and only make() or remake() allocates again.
+  void destroy() { plh_.destroy(); }
+
   /// Algorithm-based recovery: reallocate over `newPg` and repopulate
   /// every replica from a surviving replica of the CURRENT group — no
   /// snapshot involved. The data flow is survivor -> newPg(0) ->

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -238,6 +239,63 @@ void JacobiPreconditioner::apply(const la::Vector& r, la::Vector& z) const {
   for (long i = 0; i < r.size(); ++i) z[i] = r[i] * invDiag_[i];
 }
 
+la::SparseCSR gatherCSR(const DistBlockMatrix& A) {
+  const long n = A.rows();
+  const Place here = Runtime::world().here();
+  // Slot k = (row k / C, column block k % C). start[k + 1] first counts
+  // slot k's entries; after the prefix sum start[k] is where they begin,
+  // so the fill writes every block row straight to its final place and
+  // each row comes out column-sorted.
+  const long C = A.grid().colBlocks();
+  const auto slot = [C](const la::MatrixBlock& block, long i) {
+    return static_cast<std::size_t>((block.rowOffset() + i) * C +
+                                    block.blockCol());
+  };
+  std::vector<long> start(static_cast<std::size_t>(n * C) + 1, 0);
+  for (apgas::PlaceId p : A.placeGroup()) {
+    auto bs = A.blockSetAt(p);  // uncharged metadata walk
+    if (!bs) continue;  // dead: the fill below throws for it
+    for (const la::MatrixBlock& block : *bs) {
+      const auto& rowPtr = block.sparse().rowPtr();
+      for (long i = 0; i < block.rows(); ++i) {
+        start[slot(block, i) + 1] += rowPtr[static_cast<std::size_t>(i) + 1] -
+                                     rowPtr[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<long> colIdx(static_cast<std::size_t>(start.back()));
+  std::vector<double> values(colIdx.size());
+  for (apgas::PlaceId p : A.placeGroup()) {
+    A.remoteBlockSet(Place(p), [&](const la::BlockSet& bs) -> std::uint64_t {
+      std::uint64_t bytes = 0;
+      for (const la::MatrixBlock& block : bs) {
+        const la::SparseCSR& sub = block.sparse();
+        for (long i = 0; i < block.rows(); ++i) {
+          const long k0 = sub.rowPtr()[static_cast<std::size_t>(i)];
+          const long k1 = sub.rowPtr()[static_cast<std::size_t>(i) + 1];
+          const long dst = start[slot(block, i)];
+          std::transform(sub.colIdx().begin() + k0, sub.colIdx().begin() + k1,
+                         colIdx.begin() + dst,
+                         [&](long c) { return c + block.colOffset(); });
+          std::copy(sub.values().begin() + k0, sub.values().begin() + k1,
+                    values.begin() + dst);
+        }
+        bytes += block.bytes();
+      }
+      // The caller's own blocks are read in place.
+      return Place(p) == here ? 0 : bytes;
+    });
+  }
+  std::vector<long> rowPtr(static_cast<std::size_t>(n) + 1);
+  for (long r = 0; r <= n; ++r) {
+    rowPtr[static_cast<std::size_t>(r)] =
+        start[static_cast<std::size_t>(r * C)];
+  }
+  return {n, A.cols(), std::move(rowPtr), std::move(colIdx),
+          std::move(values)};
+}
+
 void Ilu0Preconditioner::setup(const DistBlockMatrix& A) {
   if (A.rows() != A.cols()) {
     throw apgas::ApgasError("Ilu0Preconditioner: need a square matrix");
@@ -245,27 +303,12 @@ void Ilu0Preconditioner::setup(const DistBlockMatrix& A) {
   if (!A.isSparse()) {
     throw apgas::ApgasError("Ilu0Preconditioner: sparse matrices only");
   }
-  const long n = A.rows();
-  Runtime& rt = Runtime::world();
-  const Place here = rt.here();
-  // Gather the blocks into one global CSR: the factorization is serial
-  // and replicated, which keeps apply() independent of A's partitioning.
-  la::SparseCSR global(n, n);
-  for (apgas::PlaceId p : A.placeGroup()) {
-    A.remoteBlockSet(Place(p), [&](const la::BlockSet& bs) -> std::uint64_t {
-      std::uint64_t bytes = 0;
-      for (const la::MatrixBlock& block : bs) {
-        global.pasteSubFrom(block.sparse(), block.rowOffset(),
-                            block.colOffset());
-        bytes += block.bytes();
-      }
-      // The caller's own blocks are read in place.
-      return Place(p) == here ? 0 : bytes;
-    });
-  }
-  factors_ = la::ilu0Factor(global);
+  // The factorization is serial and replicated on one global CSR, which
+  // keeps apply() independent of A's partitioning.
+  factors_ = la::ilu0Factor(gatherCSR(A));
   // Factorization cost ~ one pattern-restricted elimination pass.
-  rt.chargeSparseFlops(2.0 * static_cast<double>(factors_.lu.nnz()));
+  Runtime::world().chargeSparseFlops(2.0 *
+                                     static_cast<double>(factors_.lu.nnz()));
 }
 
 void Ilu0Preconditioner::apply(const la::Vector& r, la::Vector& z) const {
@@ -341,25 +384,44 @@ SolveResult pcg(const DistBlockMatrix& A, const DistVector& b, DupVector& x,
   return result;
 }
 
+void GmresWorkspace::fit(const apgas::PlaceGroup& pg, long n, long m) {
+  if (static_cast<long>(V.size()) == m + 1 && t.size() == n &&
+      t.placeGroup() == pg) {
+    return;
+  }
+  // Remake: erase the old objects on every place, then make the new ones.
+  // V is filled last, so a make that throws on a dead place leaves it
+  // short and the next call remakes again.
+  for (DupVector& v : V) v.destroy();
+  V.clear();
+  t.destroy();
+  rDist.destroy();
+  w.destroy();
+  z.destroy();
+  t = DistVector::make(n, pg);
+  rDist = DistVector::make(n, pg);
+  w = DupVector::make(n, pg);
+  z = DupVector::make(n, pg);
+  V.reserve(static_cast<std::size_t>(m) + 1);
+  for (long j = 0; j <= m; ++j) V.push_back(DupVector::make(n, pg));
+}
+
 SolveResult gmres(const DistBlockMatrix& A, const DistVector& b,
-                  DupVector& x, const Preconditioner& M, long restart,
-                  long maxRestarts, double tolerance) {
+                  DupVector& x, const Preconditioner& M, GmresWorkspace& ws,
+                  long restart, long maxRestarts, double tolerance) {
   if (A.rows() != A.cols() || A.rows() != b.size() ||
       A.cols() != x.size()) {
     throw apgas::ApgasError("gmres: need a square system");
   }
   if (restart < 1) throw apgas::ApgasError("gmres: restart < 1");
-  const auto& pg = A.placeGroup();
   const long n = A.cols();
   const long m = std::min(restart, n);
-
-  auto t = DistVector::make(n, pg);      // scratch: A * v
-  auto rDist = DistVector::make(n, pg);  // scratch: distributed residual
-  auto w = DupVector::make(n, pg);       // new basis candidate
-  auto z = DupVector::make(n, pg);       // pre-preconditioner gather
-  std::vector<DupVector> V;
-  V.reserve(static_cast<std::size_t>(m) + 1);
-  for (long j = 0; j <= m; ++j) V.push_back(DupVector::make(n, pg));
+  ws.fit(A.placeGroup(), n, m);
+  DistVector& t = ws.t;
+  DistVector& rDist = ws.rDist;
+  DupVector& w = ws.w;
+  DupVector& z = ws.z;
+  std::vector<DupVector>& V = ws.V;
 
   // Hessenberg column-major, plus the Givens rotations and the rotated
   // right-hand side g (all replicated host-side scalars).

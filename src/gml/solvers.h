@@ -16,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "gml/dist_block_matrix.h"
 #include "gml/dist_vector.h"
@@ -107,9 +108,17 @@ class JacobiPreconditioner final : public Preconditioner {
   la::Vector invDiag_;
 };
 
+/// A's sparse blocks as one global CSR at the calling place, assembled
+/// once at its final size: an uncharged metadata walk counts each row's
+/// entries, then one remoteBlockSet access per place of A's group copies
+/// them, charging that place's block bytes (nothing for the caller's own
+/// blocks, which are read in place). Equal to pasting every block into
+/// an empty matrix with SparseCSR::pasteSubFrom.
+[[nodiscard]] la::SparseCSR gatherCSR(const DistBlockMatrix& A);
+
 /// M = L U from ILU(0) on A's global sparsity pattern (sparse blocks
-/// only). setup() gathers A into one global CSR and factors serially —
-/// the factors are then replicated, keeping apply() partition
+/// only). setup() gathers A into one global CSR (gatherCSR) and factors
+/// serially — the factors are then replicated, keeping apply() partition
 /// independent. Throws ApgasError (via ilu0Factor) when the pattern has
 /// no diagonal or a pivot degenerates.
 class Ilu0Preconditioner final : public Preconditioner {
@@ -120,6 +129,7 @@ class Ilu0Preconditioner final : public Preconditioner {
     return 2.0 * static_cast<double>(factors_.lu.nnz());
   }
   [[nodiscard]] const char* name() const override { return "ilu0"; }
+  [[nodiscard]] const la::Ilu0& factors() const noexcept { return factors_; }
 
  private:
   la::Ilu0 factors_;
@@ -139,17 +149,38 @@ SolveResult pcg(const DistBlockMatrix& A, const DistVector& b, DupVector& x,
                 const Preconditioner& M, long maxIterations,
                 double tolerance);
 
+/// The caller-held scratch of gmres(): t and rDist (A * v and the
+/// residual, distributed like b), w and z (the new basis candidate and
+/// the gather it is preconditioned from) and the m+1 Krylov basis
+/// vectors. gmres()
+/// builds it on first use and remakes it only when A's place group, n or
+/// m changes, erasing the old objects on every place, so a caller that
+/// passes the same workspace to every call makes no place-local object
+/// after the first. Each op gmres() runs overwrites its output in full,
+/// so a reused workspace gives bitwise the same results as a fresh one.
+struct GmresWorkspace {
+  DistVector t;
+  DistVector rDist;
+  DupVector w;
+  DupVector z;
+  std::vector<DupVector> V;
+
+  /// Makes the vectors for an n-unknown GMRES(m) over `pg`, unless they
+  /// already have that shape.
+  void fit(const apgas::PlaceGroup& pg, long n, long m);
+};
+
 /// Restarted GMRES(m) with left preconditioning for a square (generally
 /// nonsymmetric) system A x = b: at most `maxRestarts` cycles of a
 /// `restart`-dimensional Arnoldi process (modified Gram-Schmidt + Givens
-/// rotations). `iterations` counts inner Arnoldi steps; `residual` is
-/// the PRECONDITIONED residual norm ||M^{-1}(b - A x)||_2. A vanishing
-/// new-basis norm is the happy breakdown (the Krylov space is exhausted
-/// and the cycle's solution is exact in it); non-finite arithmetic or a
-/// singular least-squares pivot abandons the cycle with the iterate
-/// held, per the header contract.
+/// rotations), on the vectors of `ws`. `iterations` counts inner Arnoldi
+/// steps; `residual` is the PRECONDITIONED residual norm
+/// ||M^{-1}(b - A x)||_2. A vanishing new-basis norm is the happy
+/// breakdown (the Krylov space is exhausted and the cycle's solution is
+/// exact in it); non-finite arithmetic or a singular least-squares pivot
+/// abandons the cycle with the iterate held, per the header contract.
 SolveResult gmres(const DistBlockMatrix& A, const DistVector& b,
-                  DupVector& x, const Preconditioner& M, long restart,
-                  long maxRestarts, double tolerance);
+                  DupVector& x, const Preconditioner& M, GmresWorkspace& ws,
+                  long restart, long maxRestarts, double tolerance);
 
 }  // namespace rgml::gml

@@ -30,17 +30,17 @@ Ilu0 ilu0Factor(const SparseCSR& a) {
   }
   const long n = a.rows();
   Ilu0 f;
-  f.lu = a;
   f.diagPos.assign(static_cast<std::size_t>(n), -1);
 
-  // Work on copies of the index arrays (read-only) and a mutable value
-  // vector we re-adopt at the end.
-  const std::vector<long> rowPtr = f.lu.rowPtr();
-  const std::vector<long> colIdx = f.lu.colIdx();
-  std::vector<double> values = f.lu.values();
+  // The factors keep a's pattern: eliminate on one copy of its values,
+  // reading the pattern in place, and copy the index arrays once at the
+  // end.
+  const std::vector<long>& rowPtr = a.rowPtr();
+  const std::vector<long>& colIdx = a.colIdx();
+  std::vector<double> values = a.values();
 
   for (long i = 0; i < n; ++i) {
-    const long d = findInRow(f.lu, i, i);
+    const long d = findInRow(a, i, i);
     if (d < 0) {
       throw apgas::ApgasError("ilu0Factor: row " + std::to_string(i) +
                               " has no diagonal entry in the pattern");
@@ -65,7 +65,7 @@ Ilu0 ilu0Factor(const SparseCSR& a) {
       const long rkEnd = rowPtr[k + 1];
       for (long kidx = dk + 1; kidx < rkEnd; ++kidx) {
         const long j = colIdx[static_cast<std::size_t>(kidx)];
-        const long tij = findInRow(f.lu, i, j);
+        const long tij = findInRow(a, i, j);
         if (tij >= 0) {
           values[static_cast<std::size_t>(tij)] -=
               lik * values[static_cast<std::size_t>(kidx)];

@@ -5,7 +5,11 @@
 #include <map>
 #include <sstream>
 
+#include "obs/flight/flight_recorder.h"
+
 namespace rgml::obs::analysis {
+
+using flight::queueName;
 
 double flightPercentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -26,10 +30,6 @@ FlightLatencyStats latencyStats(int queue, std::vector<double>& samplesUs) {
   stats.p99Us = flightPercentile(samplesUs, 0.99);
   stats.maxUs = samplesUs.empty() ? 0.0 : samplesUs.back();
   return stats;
-}
-
-std::string queueName(int queue) {
-  return queue == -1 ? std::string("ctrl") : "p" + std::to_string(queue);
 }
 
 }  // namespace

@@ -80,6 +80,10 @@ struct Event {
 /// The control queue's index in events and progress counters.
 inline constexpr int kCtrlQueue = -1;
 
+/// A queue's display name: "p<index>" for a place inbox (also the label
+/// of that place's worker lane), "ctrl" for the control queue.
+[[nodiscard]] std::string queueName(int queue);
+
 /// Fixed-capacity single-producer ring with seqlock-validated concurrent
 /// snapshots. The capacity is rounded up to a power of two.
 class FlightRing {

@@ -5,13 +5,6 @@
 
 namespace rgml::obs::flight {
 
-namespace {
-std::string queueName(int queue) {
-  return queue == kCtrlQueue ? std::string("ctrl")
-                             : "p" + std::to_string(queue);
-}
-}  // namespace
-
 StallWatchdog::StallWatchdog(FlightRecorder& recorder,
                              std::function<double()> clock,
                              double periodSeconds)

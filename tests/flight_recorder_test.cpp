@@ -118,7 +118,7 @@ std::string buildDeterministicDump(int lanes, bool race) {
   rgml_test::FakeQueues queues(lanes);
   FlightRecorder rec(lanes, 8, queues.source());
   auto populate = [&rec, &queues](int lane) {
-    rec.bindCurrentThread("p" + std::to_string(lane), lane);
+    rec.bindCurrentThread(queueName(lane), lane);
     for (int i = 0; i < 3; ++i) {
       rec.record(makeEvent(lane * 10.0 + i, EventKind::Enqueue, lane,
                            i + 1, 0.0));

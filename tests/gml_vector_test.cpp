@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "apgas/runtime.h"
 #include "gml/dist_vector.h"
@@ -200,6 +201,38 @@ TEST_F(GmlVectorTest, DistVectorAccessAfterKillThrows) {
   la::Vector dst(12);
   EXPECT_THROW(v.copyTo(dst), apgas::DeadPlaceException);
   EXPECT_THROW(static_cast<void>(v.sum()), apgas::DeadPlaceException);
+}
+
+TEST_F(GmlVectorTest, DistVectorOpsRejectAPermutedPlaceGroup) {
+  // The same places in another order hold other index ranges: 7 elements
+  // over {0,1,2} put [0,3) at place 0, over {1,2,0} place 0 holds [5,7).
+  // A segment-wise op would combine mismatched elements (dot read 4900
+  // against the elementwise 9100) and index past the shorter segment.
+  auto a = DistVector::make(7, PlaceGroup({0, 1, 2}));
+  auto b = DistVector::make(7, PlaceGroup({1, 2, 0}));
+  const auto tenI = [](long i) { return 10.0 * static_cast<double>(i); };
+  a.init(tenI);
+  b.init(tenI);
+  try {
+    static_cast<void>(a.dot(b));
+    FAIL() << "dot accepted a permuted place group";
+  } catch (const apgas::ApgasError& e) {
+    EXPECT_NE(std::string(e.what()).find("incompatible distributions"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(a.cellAdd(b), apgas::ApgasError);
+  EXPECT_THROW(a.axpy(1.0, b), apgas::ApgasError);
+  EXPECT_THROW(a.cellMult(b), apgas::ApgasError);
+  EXPECT_THROW(a.cellDiv(b), apgas::ApgasError);
+  EXPECT_THROW(a.copyFrom(b), apgas::ApgasError);
+  EXPECT_THROW(a.map2(b, [](double x, double y, long) { return x + y; }),
+               apgas::ApgasError);
+  // Nothing was combined, and over an equal group the dot is elementwise.
+  for (long i = 0; i < 7; ++i) EXPECT_EQ(a.at(i), tenI(i));
+  auto c = DistVector::make(7, PlaceGroup({0, 1, 2}));
+  c.init(tenI);
+  EXPECT_EQ(a.dot(c), 9100.0);
 }
 
 TEST_F(GmlVectorTest, DistVectorTooFewElementsRejected) {

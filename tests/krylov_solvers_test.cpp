@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -183,7 +184,8 @@ TEST_F(KrylovSolversTest, GmresSolvesNonsymmetricSystem) {
 
   Ilu0Preconditioner m;
   m.setup(a);
-  auto result = gmres(a, b, x, m, 8, 20, 1e-10);
+  GmresWorkspace ws;
+  auto result = gmres(a, b, x, m, ws, 8, 20, 1e-10);
   EXPECT_TRUE(result.converged);
   EXPECT_LT(trueResidual(a, b, x), 1e-7);
 }
@@ -203,7 +205,8 @@ TEST_F(KrylovSolversTest, GmresHappyBreakdownOnIdentity) {
 
   IdentityPreconditioner m;
   m.setup(a);
-  auto result = gmres(a, b, x, m, 5, 3, 1e-12);
+  GmresWorkspace ws;
+  auto result = gmres(a, b, x, m, ws, 5, 3, 1e-12);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 1);
   la::Vector bv(n);
@@ -303,6 +306,175 @@ TEST_F(KrylovSolversTest, ApplyReplicatedKeepsReplicasConsistent) {
     }
   }
 }
+
+// -- the GMRES workspace and the one-pass ILU(0) assembly, on both engines
+
+/// Four solve places plus one spare (place 4) for the replace restore.
+class GmresWorkspaceTest : public ::testing::TestWithParam<apgas::Backend> {
+ protected:
+  void SetUp() override {
+    apgas::RuntimeConfig cfg;
+    cfg.numPlaces = 5;
+    cfg.resilientFinish = true;
+    cfg.backend = GetParam();
+    Runtime::init(cfg);
+  }
+
+  static constexpr long kN = 48;
+  static constexpr long kBand = 2;
+  static constexpr long kRestart = 6;
+  const PlaceGroup pg_{0, 1, 2, 3};
+};
+
+/// Every replica of `x` equals the same replica of `y` bit for bit.
+void expectSameReplicas(const DupVector& x, const DupVector& y) {
+  ASSERT_EQ(x.placeGroup(), y.placeGroup());
+  for (apgas::PlaceId p : x.placeGroup()) {
+    apgas::at(Place(p), [&] { EXPECT_EQ(x.local(), y.local()) << p; });
+  }
+}
+
+/// One GMRES(kRestart) cycle with tolerance 0, as GmresResilient::step.
+SolveResult cycle(const DistBlockMatrix& a, const DistVector& b, DupVector& x,
+                  const Preconditioner& m, GmresWorkspace& ws, long restart) {
+  return gmres(a, b, x, m, ws, restart, 1, 0.0);
+}
+
+TEST_P(GmresWorkspaceTest, SharedWorkspaceMatchesAFreshOneBitwise) {
+  auto a = distFromCSR(nonsymBandCSR(kN, kBand), kBand, pg_);
+  auto b = DistVector::make(kN, pg_);
+  b.initRandom(29);
+  auto xShared = DupVector::make(kN, pg_);
+  xShared.init(0.0);
+  auto xFresh = DupVector::make(kN, pg_);
+  xFresh.init(0.0);
+  Ilu0Preconditioner m;
+  m.setup(a);
+
+  GmresWorkspace shared;
+  for (int c = 0; c < 4; ++c) {
+    const SolveResult s = cycle(a, b, xShared, m, shared, kRestart);
+    GmresWorkspace fresh;
+    const SolveResult f = cycle(a, b, xFresh, m, fresh, kRestart);
+    EXPECT_EQ(s.residual, f.residual) << "cycle " << c;
+    EXPECT_EQ(s.iterations, f.iterations) << "cycle " << c;
+    expectSameReplicas(xShared, xFresh);
+  }
+}
+
+TEST_P(GmresWorkspaceTest, CyclesAfterTheFirstMakeNoHandle) {
+  auto a = distFromCSR(nonsymBandCSR(kN, kBand), kBand, pg_);
+  auto b = DistVector::make(kN, pg_);
+  b.initRandom(31);
+  auto x = DupVector::make(kN, pg_);
+  x.init(0.0);
+  Ilu0Preconditioner m;
+  m.setup(a);
+  GmresWorkspace ws;
+  static_cast<void>(cycle(a, b, x, m, ws, kRestart));
+
+  // allocHandleId() hands out consecutive ids: reading it twice around
+  // the cycles shows how many handles they made in between.
+  Runtime& rt = Runtime::world();
+  const std::uint64_t before = rt.allocHandleId();
+  for (int c = 0; c < 3; ++c) {
+    static_cast<void>(cycle(a, b, x, m, ws, kRestart));
+  }
+  EXPECT_EQ(rt.allocHandleId(), before + 1);
+
+  // Another restart length is another shape: the workspace is remade.
+  static_cast<void>(cycle(a, b, x, m, ws, kRestart - 1));
+  EXPECT_EQ(ws.V.size(), static_cast<std::size_t>(kRestart));
+  EXPECT_GT(rt.allocHandleId(), before + 2);
+}
+
+TEST_P(GmresWorkspaceTest, KillAndRestoreRemakeOverTheNewGroup) {
+  const la::SparseCSR global = nonsymBandCSR(kN, kBand);
+  auto a = distFromCSR(global, kBand, pg_);
+  auto b = DistVector::make(kN, pg_);
+  b.initRandom(37);
+  auto x = DupVector::make(kN, pg_);
+  x.init(0.0);
+  Ilu0Preconditioner m;
+  m.setup(a);
+  GmresWorkspace ws;
+  static_cast<void>(cycle(a, b, x, m, ws, kRestart));
+  const GmresWorkspace old = ws;  // copies alias the old objects
+
+  // Kill place 2 and restore as GmresResilient's algorithm-based path
+  // does: the inputs are rebuilt over the new group, x comes from a
+  // survivor, M is refactored. The workspace is left alone.
+  Runtime::world().kill(2);
+  const PlaceGroup next = pg_.replaceDead({4});
+  ASSERT_EQ(next, PlaceGroup({0, 1, 4, 3}));
+  a = distFromCSR(global, kBand, next);
+  b = DistVector::make(kN, next);
+  b.initRandom(37);
+  x.remakeFromSurvivor(next);
+  m.setup(a);
+  auto xFresh = DupVector::make(kN, next);
+  xFresh.copyFrom(x);
+
+  static_cast<void>(cycle(a, b, x, m, ws, kRestart));
+  EXPECT_EQ(ws.t.placeGroup(), next);
+  EXPECT_EQ(ws.rDist.placeGroup(), next);
+  EXPECT_EQ(ws.w.placeGroup(), next);
+  EXPECT_EQ(ws.z.placeGroup(), next);
+  ASSERT_EQ(ws.V.size(), static_cast<std::size_t>(kRestart + 1));
+  for (const DupVector& v : ws.V) EXPECT_EQ(v.placeGroup(), next);
+
+  // The old objects are erased on every surviving place.
+  for (apgas::PlaceId p : {0, 1, 3}) {
+    apgas::at(Place(p), [&] {
+      EXPECT_THROW(static_cast<void>(old.t.localSegment()),
+                   apgas::ApgasError);
+      EXPECT_THROW(static_cast<void>(old.rDist.localSegment()),
+                   apgas::ApgasError);
+      EXPECT_THROW(static_cast<void>(old.w.local()), apgas::ApgasError);
+      EXPECT_THROW(static_cast<void>(old.z.local()), apgas::ApgasError);
+      for (const DupVector& v : old.V) {
+        EXPECT_THROW(static_cast<void>(v.local()), apgas::ApgasError);
+      }
+    });
+  }
+
+  GmresWorkspace fresh;
+  static_cast<void>(cycle(a, b, xFresh, m, fresh, kRestart));
+  expectSameReplicas(x, xFresh);
+}
+
+TEST_P(GmresWorkspaceTest, OnePassIlu0AssemblyEqualsPastedBlocks) {
+  // An uneven grid: 29 rows in 5 row blocks and 3 column blocks over a
+  // 2 x 2 place grid, so a place holds blocks of several column blocks
+  // and the fill visits a row's blocks out of column order.
+  const long n = 29, band = 3;
+  const la::SparseCSR global = nonsymBandCSR(n, band);
+  auto a = DistBlockMatrix::makeSparse(n, n, 5, 3, 2, 2, 2 * band + 1, pg_);
+  a.initFromCSR(global);
+
+  la::SparseCSR pasted(n, n);
+  for (apgas::PlaceId p : pg_) {
+    for (const la::MatrixBlock& block : *a.blockSetAt(p)) {
+      pasted.pasteSubFrom(block.sparse(), block.rowOffset(),
+                          block.colOffset());
+    }
+  }
+  ASSERT_EQ(pasted, global);
+  EXPECT_EQ(gatherCSR(a), pasted);
+
+  Ilu0Preconditioner m;
+  m.setup(a);
+  const la::Ilu0 expected = la::ilu0Factor(pasted);
+  EXPECT_EQ(m.factors().lu, expected.lu);
+  EXPECT_EQ(m.factors().diagPos, expected.diagPos);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, GmresWorkspaceTest,
+    ::testing::Values(apgas::Backend::Simulated, apgas::Backend::Threads),
+    [](const ::testing::TestParamInfo<apgas::Backend>& info) {
+      return std::string(apgas::toString(info.param));
+    });
 
 }  // namespace
 }  // namespace rgml::gml
